@@ -169,43 +169,28 @@ std::vector<Tensor> GraphExecutor::execute(ApiHandle handle,
 std::vector<Tensor> GraphExecutor::execute_entry(
     ApiEntry& entry, const std::vector<Tensor>& inputs) {
   if (entry.prepared) {
-    // Route batchable APIs through a plan specialized on the concrete feed
-    // shapes: same fetches, but with a static memory plan for this exact
-    // batch size. Non-batchable APIs (fixed signatures, no feeds) gain
-    // nothing and keep the dynamic plan.
-    if (options_.specialize_shapes && !inputs.empty() &&
-        entry.prepared->plan().feeds_batchable()) {
-      return execute_specialized(entry, inputs);
-    }
-    return entry.prepared->run(inputs);
+    return run_static(*session_, *entry.prepared, entry.fetches,
+                      entry.feed_nodes, inputs);
   }
   return execute_imperative(entry, inputs);
 }
 
-std::vector<Tensor> GraphExecutor::execute_specialized(
-    ApiEntry& entry, const std::vector<Tensor>& inputs) {
-  std::vector<int64_t> key;
-  key.reserve(inputs.size() * 3);
-  for (const Tensor& t : inputs) {
-    key.push_back(t.shape().rank());
-    for (int d = 0; d < t.shape().rank(); ++d) key.push_back(t.shape().dim(d));
+std::vector<Tensor> GraphExecutor::run_static(
+    Session& session, Session::PreparedCall& prepared,
+    const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
+    const std::vector<Tensor>& inputs) {
+  // Batchable APIs run a plan specialized on the concrete feed shapes: same
+  // fetches, but with a static memory plan for this exact batch size.
+  // Non-batchable APIs (fixed signatures, no feeds) gain nothing and keep
+  // the dynamic plan.
+  if (!options_.specialize_shapes || inputs.empty() ||
+      !prepared.plan().feeds_batchable()) {
+    return prepared.run(inputs);
   }
-  auto it = entry.specialized.find(key);
-  if (it != entry.specialized.end()) return it->second->run(inputs);
-
   std::vector<Shape> shapes;
   shapes.reserve(inputs.size());
   for (const Tensor& t : inputs) shapes.push_back(t.shape());
-  std::shared_ptr<Session::PreparedCall> call =
-      session_->prepare_specialized(entry.fetches, entry.feed_nodes, shapes);
-  // Cap the per-API map so an unbucketed caller cycling through arbitrary
-  // batch sizes cannot grow it without bound; overflow signatures still
-  // benefit from the session's own (LRU-bounded) cache.
-  constexpr size_t kMaxSpecializedPerApi = 64;
-  if (entry.specialized.size() < kMaxSpecializedPerApi) {
-    entry.specialized.emplace(std::move(key), call);
-  }
-  return call->run(inputs);
+  return session.prepare_specialized(fetches, feed_nodes, shapes)->run(inputs);
 }
 
 std::vector<Tensor> GraphExecutor::execute_imperative(
@@ -493,16 +478,8 @@ std::vector<Tensor> GraphExecutor::execute_quantized(
     const std::string& api, const std::vector<Tensor>& inputs) {
   const QuantizedApi& qa = quantized_api_or_throw(api);
   ++execution_calls_;
-  if (options_.specialize_shapes && !inputs.empty() &&
-      qa.prepared->plan().feeds_batchable()) {
-    std::vector<Shape> shapes;
-    shapes.reserve(inputs.size());
-    for (const Tensor& t : inputs) shapes.push_back(t.shape());
-    return qa.session
-        ->prepare_specialized(qa.fetches, qa.feed_nodes, shapes)
-        ->run(inputs);
-  }
-  return qa.prepared->run(inputs);
+  return run_static(*qa.session, *qa.prepared, qa.fetches, qa.feed_nodes,
+                    inputs);
 }
 
 const std::map<std::string, float>& GraphExecutor::quantized_act_scales(

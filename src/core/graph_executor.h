@@ -36,8 +36,8 @@ struct ExecutorOptions {
   // Attempt fast-path edge contraction for define-by-run dispatch.
   bool fast_path = true;
   // Static backend: recompile batchable APIs specialized on the concrete
-  // feed shapes seen at execute() time (one cached plan per distinct
-  // signature, LRU-bounded in the session). Specialized plans run with a
+  // feed shapes seen at execute() time (one plan per distinct signature,
+  // cached in the session's LRU). Specialized plans run with a
   // static arena plan — no buffer-pool traffic on the serial hot path.
   bool specialize_shapes = true;
   uint64_t seed = 1234;
@@ -154,14 +154,9 @@ class GraphExecutor {
     // Static backend: the compiled plan call (fetches + feed order baked).
     std::shared_ptr<Session::PreparedCall> prepared;
     // The API's fetch/feed resolution, kept so specialized plans can be
-    // compiled lazily when concrete shapes arrive.
+    // looked up in (or compiled into) the session cache per call.
     std::vector<Endpoint> fetches;
     std::vector<int> feed_nodes;
-    // Shape-specialized plans seen so far, keyed by the encoded concrete
-    // feed signature (rank then dims per input). Bounded: past the cap new
-    // signatures go through the session cache without an entry here.
-    std::map<std::vector<int64_t>, std::shared_ptr<Session::PreparedCall>>
-        specialized;
     // Define-by-run: the contracted program once a dispatch traced it.
     FastPathProgram fast_path;
     bool traced = false;
@@ -185,8 +180,14 @@ class GraphExecutor {
 
   std::vector<Tensor> execute_entry(ApiEntry& entry,
                                     const std::vector<Tensor>& inputs);
-  std::vector<Tensor> execute_specialized(ApiEntry& entry,
-                                          const std::vector<Tensor>& inputs);
+  // Static-backend dispatch shared by execute() and execute_quantized():
+  // batchable calls run the session's plan specialized on the concrete
+  // input shapes, everything else runs `prepared` (the dynamic plan).
+  std::vector<Tensor> run_static(Session& session,
+                                 Session::PreparedCall& prepared,
+                                 const std::vector<Endpoint>& fetches,
+                                 const std::vector<int>& feed_nodes,
+                                 const std::vector<Tensor>& inputs);
   std::vector<Tensor> execute_imperative(ApiEntry& entry,
                                          const std::vector<Tensor>& inputs);
 

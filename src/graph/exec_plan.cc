@@ -117,11 +117,6 @@ std::shared_ptr<void> RunArena::take_block(int id, const ArenaPlan& plan) {
   return storage;
 }
 
-void RunArena::end_planned() {
-  // Handles stay cached for the next run (see begin_planned). Dropping
-  // them here would force a control-block allocation per block per run.
-}
-
 // --- purity checking --------------------------------------------------------
 
 namespace {
@@ -504,32 +499,19 @@ std::vector<Tensor> CompiledPlan::execute(RunArena& arena,
   // order), so parallel runs of a specialized plan use the pool as before.
   const bool parallel =
       max_width_ > 1 && steps_.size() >= 4 && global_parallelism() > 1;
-  const bool planned = arena_plan_ != nullptr && !parallel;
-  if (planned) {
-    arena.begin_planned(*arena_plan_);
-    execute_planned(arena, variables, rng);
-  } else if (parallel) {
+  if (parallel) {
     execute_parallel(arena, variables, rng);
   } else {
     execute_serial(arena, variables, rng);
+    if (arena_plan_ != nullptr) {
+      counters_.planned_runs.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   std::vector<Tensor> fetched;
   fetched.reserve(fetch_slots_.size());
   for (int slot : fetch_slots_) fetched.push_back(arena.get(slot));
   arena.end_run();
-  if (planned) {
-    arena.end_planned();
-    counters_.planned_runs.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  counters_.runs.fetch_add(1, std::memory_order_relaxed);
-  counters_.nodes_executed.fetch_add(static_cast<int64_t>(steps_.size()),
-                                     std::memory_order_relaxed);
-  if (fused_kernel_steps_ > 0) {
-    counters_.fused_dispatches.fetch_add(fused_kernel_steps_,
-                                         std::memory_order_relaxed);
-  }
   // A "batch" is the leading extent of feed 0, but only when the plan's
   // signature makes that a batch dimension and the feed actually reaches
   // the fetched subgraph; everything else (scalar feeds, feed-less plans,
@@ -599,36 +581,29 @@ void CompiledPlan::run_step(const Step& step, KernelContext& ctx,
 
 void CompiledPlan::execute_serial(RunArena& arena, VariableStore* variables,
                                   Rng* rng) const {
+  const ArenaPlan* plan = arena_plan_.get();
+  if (plan != nullptr) arena.begin_planned(*plan);
   const bool check_purity = arena.check_kernel_purity();
   KernelContext ctx;  // reused across steps: one inputs allocation per run
-  ctx.variables = variables;
-  ctx.rng = rng;
-  for (const Step& step : steps_) run_step(step, ctx, arena, check_purity);
-}
-
-void CompiledPlan::execute_planned(RunArena& arena, VariableStore* variables,
-                                   Rng* rng) const {
-  const ArenaPlan& plan = *arena_plan_;
-  const bool check_purity = arena.check_kernel_purity();
-  KernelContext ctx;
   ctx.variables = variables;
   ctx.rng = rng;
   // One scope for the whole run: reset() per step keeps the entry vector's
   // capacity, so steady state stages ranges without allocating.
   PlannedAllocScope scope;
   for (size_t i = 0; i < steps_.size(); ++i) {
-    scope.reset();  // stale ranges must never leak into the next step
-    const int begin = plan.step_begin[i];
-    const int end = plan.step_begin[i + 1];
-    // Stage this step's preplanned ranges; the kernel's output allocations
-    // consume them by exact byte size. Ranges a hazard check withholds (or
-    // that the kernel never requests — e.g. an aliasing kernel returning
-    // its input) are simply dropped at the next reset.
-    for (int a = begin; a < end; ++a) {
-      const ArenaPlan::StepAlloc& alloc =
-          plan.step_allocs[static_cast<size_t>(a)];
-      if (std::shared_ptr<void> storage = arena.take_block(alloc.block, plan)) {
-        scope.add(alloc.bytes, std::move(storage));
+    if (plan != nullptr) {
+      scope.reset();  // stale ranges must never leak into the next step
+      // Stage this step's preplanned ranges; the kernel's output
+      // allocations consume them by exact byte size. Ranges a hazard check
+      // withholds (or that the kernel never requests — e.g. an aliasing
+      // kernel returning its input) are simply dropped at the next reset.
+      for (int a = plan->step_begin[i]; a < plan->step_begin[i + 1]; ++a) {
+        const ArenaPlan::StepAlloc& alloc =
+            plan->step_allocs[static_cast<size_t>(a)];
+        if (std::shared_ptr<void> storage =
+                arena.take_block(alloc.block, *plan)) {
+          scope.add(alloc.bytes, std::move(storage));
+        }
       }
     }
     run_step(steps_[i], ctx, arena, check_purity);

@@ -88,10 +88,6 @@ class RunArena {
   // longer-lived value — in which case the caller simply lets the
   // allocation fall through to the pool.
   std::shared_ptr<void> take_block(int id, const ArenaPlan& plan);
-  // End-of-run hook. Handles persist across runs (steady state re-issues
-  // them allocation-free); escaped tensors keep their block flagged via
-  // use_count until they die.
-  void end_planned();
   // Fresh contiguous-block allocations (1 on first use; more only when a
   // prior run's values escaped or the plan grew).
   int64_t arena_block_allocs() const { return plan_block_allocs_; }
@@ -151,22 +147,17 @@ class CompiledPlan {
     int num_deps = 0;
   };
 
+  // Per-plan counters. Run, node and fused-dispatch totals live on the
+  // Session (Session::num_runs() and friends), not here.
   struct Counters {
-    std::atomic<int64_t> runs{0};
-    std::atomic<int64_t> nodes_executed{0};
     // Sum of the leading feed dimension over all runs (a feed-less or
     // scalar-fed run counts 1): total logical elements served through this
-    // plan — runs with a varying dynamic batch divide this by `runs` for
-    // the mean effective batch size. Only counted when the plan is
-    // batchable and feed 0 is actually consumed by the fetched subgraph.
+    // plan. Only counted when the plan is batchable and feed 0 is actually
+    // consumed by the fetched subgraph.
     std::atomic<int64_t> batch_elements{0};
     // Runs that executed through the static arena plan (serial path of a
-    // shape-specialized plan); runs - planned_runs took the dynamic
-    // pool-allocating path.
+    // shape-specialized plan); the rest took the pool-allocating path.
     std::atomic<int64_t> planned_runs{0};
-    // Fused-composite kernel dispatches (FusedDense / FusedConv2D /
-    // FusedElementwise steps) accumulated over all runs.
-    std::atomic<int64_t> fused_dispatches{0};
   };
 
   // Compile the transitive closure of `fetches` over `graph`. `feed_nodes`
@@ -285,14 +276,12 @@ class CompiledPlan {
   void run_step(const Step& step, KernelContext& ctx, RunArena& arena,
                 bool check_purity) const;
 
+  // The serial loop. With an arena plan, each step's planned output ranges
+  // are staged in a PlannedAllocScope before its kernel runs.
   void execute_serial(RunArena& arena, VariableStore* variables,
                       Rng* rng) const;
   void execute_parallel(RunArena& arena, VariableStore* variables,
                         Rng* rng) const;
-  // Serial loop with the arena plan active: each step's planned output
-  // ranges are installed in a PlannedAllocScope before its kernel runs.
-  void execute_planned(RunArena& arena, VariableStore* variables,
-                       Rng* rng) const;
 
   // Shape-specialization pass: propagate the (now concrete) feed shapes
   // through the step DAG via each op's registered shape function, then run

@@ -3,11 +3,10 @@
 // up opportunities for optimization at all stages ... integrated at the graph
 // build stage").
 //
-// Implemented passes:
-//  * dead-node elimination relative to the API registry's root endpoints,
-//  * constant folding of stateless ops with all-constant inputs,
-//  * fusion of chains of parameter-free elementwise ops into a single
-//    FusedElementwise node.
+// Build time runs dead-node elimination relative to the API registry's
+// root endpoints and constant folding of stateless ops with all-constant
+// inputs. Fusion is not a build-time pass: it runs once per plan, at plan
+// compile (fuse_plan_patterns below).
 #pragma once
 
 #include <map>
@@ -18,12 +17,6 @@
 
 namespace rlgraph {
 
-struct OptimizeOptions {
-  bool constant_folding = true;
-  bool elementwise_fusion = true;
-  // DCE always runs; it is what keeps rebuilt graphs minimal.
-};
-
 struct OptimizeResult {
   std::shared_ptr<GraphDef> graph;
   // Mapping from old endpoints to new endpoints for every live node.
@@ -31,21 +24,20 @@ struct OptimizeResult {
   int nodes_before = 0;
   int nodes_after = 0;
   int folded = 0;
-  int fused_chains = 0;
 };
 
 // `roots` are the endpoints that must stay addressable (API registry outputs
 // and placeholders are kept implicitly as they appear in live node inputs).
 OptimizeResult optimize_graph(const GraphDef& graph,
-                              const std::vector<Endpoint>& roots,
-                              const OptimizeOptions& options = {});
+                              const std::vector<Endpoint>& roots);
 
 // --- per-plan pattern fusion -------------------------------------------------
 //
-// Runs at plan-compile time on inference (fetch-only) plans, the way an NPU
-// compiler fuses its lowered IR: MatMul+AddBias(+activation) -> FusedDense,
-// Conv2D+AddBias(+activation) -> FusedConv2D, and elementwise chains
-// including binary ops with broadcast extras -> FusedElementwise. Training
+// The only fusion pass. Runs at plan-compile time on inference (fetch-only)
+// plans, the way an NPU compiler fuses its lowered IR:
+// MatMul+AddBias(+activation) -> FusedDense, Conv2D+AddBias(+activation) ->
+// FusedConv2D, and elementwise chains including binary ops with broadcast
+// extras -> FusedElementwise. Training
 // plans are left untouched: if the fetched closure contains any stateful
 // node other than a Variable read (Assign, RNG draws, component state), the
 // pass declines so autodiff-expanded update graphs keep their unfused nodes.

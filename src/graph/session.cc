@@ -105,13 +105,19 @@ std::shared_ptr<Session::PreparedCall> Session::cache_lookup(
   return it->second.call;
 }
 
-void Session::cache_insert(PlanKey key, std::shared_ptr<PreparedCall> call) {
+std::shared_ptr<Session::PreparedCall> Session::cache_insert(
+    PlanKey key, std::shared_ptr<PreparedCall> call) {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   auto it = plan_cache_.find(key);
-  if (it != plan_cache_.end()) return;  // lost a compile race: keep the first
+  if (it != plan_cache_.end()) return it->second.call;  // lost a compile race
   lru_.push_front(key);
-  plan_cache_.emplace(std::move(key), CacheEntry{std::move(call), lru_.begin()});
-  while (plan_cache_.size() > plan_cache_capacity_ && !lru_.empty()) {
+  plan_cache_.emplace(std::move(key), CacheEntry{call, lru_.begin()});
+  evict_to_capacity();
+  return call;
+}
+
+void Session::evict_to_capacity() {
+  while (plan_cache_.size() > plan_cache_capacity_) {
     plan_cache_.erase(lru_.back());  // callers holding the shared_ptr keep it
     lru_.pop_back();
     plan_cache_evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -121,14 +127,26 @@ void Session::cache_insert(PlanKey key, std::shared_ptr<PreparedCall> call) {
   }
 }
 
+std::shared_ptr<Session::PreparedCall> Session::insert_compiled(
+    PlanKey key, std::shared_ptr<CompiledPlan> plan) {
+  auto call = std::make_shared<PreparedCall>();
+  call->session_ = this;
+  call->plan_ = std::move(plan);
+  plan_compiles_.fetch_add(1, std::memory_order_relaxed);
+  if (metrics_ != nullptr) metrics_->increment("session/plan_compiles");
+  if (call->plan_->specialized()) {
+    plan_specializations_.fetch_add(1, std::memory_order_relaxed);
+    if (metrics_ != nullptr) {
+      metrics_->increment("session/plan_specializations");
+    }
+  }
+  return cache_insert(std::move(key), std::move(call));
+}
+
 void Session::set_plan_cache_capacity(size_t cap) {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   plan_cache_capacity_ = cap == 0 ? 1 : cap;
-  while (plan_cache_.size() > plan_cache_capacity_ && !lru_.empty()) {
-    plan_cache_.erase(lru_.back());
-    lru_.pop_back();
-    plan_cache_evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
+  evict_to_capacity();
 }
 
 size_t Session::plan_cache_size() const {
@@ -142,15 +160,9 @@ std::shared_ptr<Session::PreparedCall> Session::prepare(
   if (std::shared_ptr<PreparedCall> hit = cache_lookup(key)) return hit;
   // Compile outside the lock (may be slow); first writer wins on a race.
   trace::TraceSpan compile_span("session", "session/compile");
-  std::shared_ptr<CompiledPlan> plan =
-      CompiledPlan::compile(graph_, fetches, feed_nodes, pattern_fusion_);
-  auto call = std::make_shared<PreparedCall>();
-  call->session_ = this;
-  call->plan_ = std::move(plan);
-  plan_compiles_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->increment("session/plan_compiles");
-  cache_insert(std::move(key), call);
-  return call;
+  return insert_compiled(
+      std::move(key),
+      CompiledPlan::compile(graph_, fetches, feed_nodes, pattern_fusion_));
 }
 
 std::shared_ptr<Session::PreparedCall> Session::prepare_specialized(
@@ -175,21 +187,9 @@ std::shared_ptr<Session::PreparedCall> Session::prepare_specialized(
     // Shapes don't match the declared signature: serve the dynamic plan,
     // and remember that under the specialized key so the next call with
     // these shapes is a plain cache hit rather than a failed recompile.
-    std::shared_ptr<PreparedCall> dynamic = prepare(fetches, feed_nodes);
-    cache_insert(std::move(key), dynamic);
-    return dynamic;
+    return cache_insert(std::move(key), prepare(fetches, feed_nodes));
   }
-  auto call = std::make_shared<PreparedCall>();
-  call->session_ = this;
-  call->plan_ = std::move(plan);
-  plan_compiles_.fetch_add(1, std::memory_order_relaxed);
-  plan_specializations_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->increment("session/plan_compiles");
-    metrics_->increment("session/plan_specializations");
-  }
-  cache_insert(std::move(key), call);
-  return call;
+  return insert_compiled(std::move(key), std::move(plan));
 }
 
 std::vector<Tensor> Session::run(const std::vector<Endpoint>& fetches,

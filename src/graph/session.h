@@ -86,7 +86,9 @@ class Session {
   // Bound on cached plans; exceeding it evicts the least recently used
   // entry. Generous by default — shape-specialized callers add one entry
   // per distinct batch size, which bucketing keeps small, but an unbucketed
-  // caller feeding arbitrary N must not grow the cache without bound.
+  // caller feeding arbitrary N must not grow the cache without bound. This
+  // LRU is the only plan cache: GraphExecutor looks its specialized plans
+  // up here on every batched call.
   void set_plan_cache_capacity(size_t cap);
   size_t plan_cache_size() const;
 
@@ -132,8 +134,16 @@ class Session {
     std::list<PlanKey>::iterator lru_it;
   };
   // Cache lookup/insert/evict under cache_mutex_; lru_ front = most recent.
+  // cache_insert returns the cached call (the first writer's on a race).
   std::shared_ptr<PreparedCall> cache_lookup(const PlanKey& key);
-  void cache_insert(PlanKey key, std::shared_ptr<PreparedCall> call);
+  std::shared_ptr<PreparedCall> cache_insert(PlanKey key,
+                                             std::shared_ptr<PreparedCall> call);
+  // The one eviction path (inserts and capacity changes); the caller holds
+  // cache_mutex_.
+  void evict_to_capacity();
+  // Count a fresh compile and cache it.
+  std::shared_ptr<PreparedCall> insert_compiled(
+      PlanKey key, std::shared_ptr<CompiledPlan> plan);
 
   mutable std::mutex cache_mutex_;
   std::map<PlanKey, CacheEntry> plan_cache_;

@@ -180,7 +180,7 @@ TEST(ExecPlanBuilderTest, PurityCheckCatchesInputMutation) {
   EXPECT_NO_THROW(plan->execute(arena, {input}, nullptr, nullptr));
 }
 
-TEST(ExecPlanBuilderTest, CountersTrackRunsAndNodes) {
+TEST(ExecPlanBuilderTest, RepeatedRunsReuseOneArena) {
   CompiledPlan::Builder builder;
   int in_slot = builder.add_input();
   int c_slot = builder.add_const(Tensor::scalar(2.0f));
@@ -196,8 +196,6 @@ TEST(ExecPlanBuilderTest, CountersTrackRunsAndNodes) {
     auto out = plan->execute(arena, {Tensor::scalar(5.0f)}, nullptr, nullptr);
     EXPECT_FLOAT_EQ(out[0].scalar_value(), 10.0f);
   }
-  EXPECT_EQ(plan->counters().runs.load(), 3);
-  EXPECT_EQ(plan->counters().nodes_executed.load(), 3);
 }
 
 // --- shape-specialized plans (static arena planning) ------------------------
@@ -393,6 +391,25 @@ TEST_F(SpecializedPlanTest, PlanCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(s.plan_compiles(), compiles);  // survivor: still cached
   (void)s.prepare_specialized({{v.node, 0}}, {x_.node}, {Shape{2, 8}});
   EXPECT_EQ(s.plan_compiles(), compiles + 1);  // victim: recompiled
+}
+
+TEST_F(SpecializedPlanTest, CapacityShrinkCountsEvictionsInMetrics) {
+  // Evictions from set_plan_cache_capacity() land in the metrics registry
+  // exactly like evictions on insert.
+  OpRef v = build_pipeline(8);
+  Session s = make_session();
+  MetricRegistry metrics;
+  s.set_metrics(&metrics);
+  s.set_plan_cache_capacity(2);
+  for (int64_t n : {1, 2, 4}) {
+    (void)s.prepare_specialized({{v.node, 0}}, {x_.node}, {Shape{n, 8}});
+  }
+  EXPECT_EQ(s.plan_cache_evictions(), 1);
+  s.set_plan_cache_capacity(1);
+  EXPECT_EQ(s.plan_cache_size(), 1u);
+  EXPECT_EQ(s.plan_cache_evictions(), 2);
+  EXPECT_EQ(metrics.counter("session/plan_cache_evictions"),
+            s.plan_cache_evictions());
 }
 
 TEST_F(SpecializedPlanTest, BatchElementsCountsOnlyBatchableLiveFeeds) {

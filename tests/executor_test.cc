@@ -189,6 +189,26 @@ TEST(GraphExecutorTest, SeedsMakeStochasticOpsReproducible) {
   EXPECT_FALSE(ra.equals(rc));
 }
 
+TEST(GraphExecutorTest, SessionLruIsTheOnlyPlanCache) {
+  // Specialized plans live only in the session's LRU: once a batch size is
+  // evicted there, its next call recompiles.
+  GraphExecutor exec(make_mlp_root(), mlp_apis());
+  exec.build();
+  Session* session = exec.session();
+  session->set_plan_cache_capacity(2);
+  ApiHandle forward = exec.api_handle("forward");
+  auto call = [&](int64_t batch) {
+    exec.execute(forward, {Tensor::zeros(DType::kFloat32, Shape{batch, 5})});
+  };
+  for (int64_t batch : {1, 2, 3, 4}) call(batch);
+  const int64_t compiles = session->plan_compiles();
+  call(4);  // most recent: still cached
+  EXPECT_EQ(session->plan_compiles(), compiles);
+  call(1);  // evicted by 3 and 4
+  EXPECT_EQ(session->plan_compiles(), compiles + 1);
+  EXPECT_EQ(session->plan_cache_size(), 2u);
+}
+
 TEST(GraphExecutorTest, ExecutionCallCounting) {
   GraphExecutor exec(make_mlp_root(), mlp_apis());
   exec.build();
