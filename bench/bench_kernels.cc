@@ -1,0 +1,237 @@
+// Kernel tier: the six convolution and dense kernels of the Pong dueling DQN
+// (bench_common.h's pong_agent_config on 16x16 frames), timed one call at a
+// time at batch 4 (act), 32 (learner update) and 100 (worker priorities).
+//
+// Inputs are what the network really sees, because the kernels' cost depends
+// on how many inputs are exactly zero: conv1 reads stacked Pong frames from
+// VectorEnv, every later layer reads the ReLU output of the layer before it
+// (seeded random weights), and every gradient is a seeded normal masked by
+// the layer's ReLU.
+//
+//   ./build/bench/bench_kernels [--json out.json] [google-benchmark flags]
+//
+// Each row is the real time of one call in microseconds; --json writes them
+// through bench::Reporter with {kernel, layer, batch, threads} params. The
+// kernels shard over RLGRAPH_NUM_THREADS like everywhere else; set it to 1
+// to time the serial loops.
+#include <benchmark/benchmark.h>
+
+#include <functional>
+#include <map>
+#include <string>
+
+#include "bench_common.h"
+#include "env/vector_env.h"
+#include "tensor/kernels.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
+
+namespace rlgraph {
+namespace {
+
+constexpr int64_t kBatches[] = {4, 32, 100};
+
+struct ConvLayer {
+  Tensor input, filter, bias, grad_out;
+  int stride;
+};
+
+struct DenseLayer {
+  Tensor input, weights, bias, grad_out;
+};
+
+// ReLU-masked normal gradient for a layer whose forward output is `out`.
+Tensor relu_grad(const Tensor& out, Rng& rng) {
+  Tensor g = kernels::random_normal(out.shape(), 0.0, 1.0, rng);
+  float* pg = g.mutable_data<float>();
+  const float* po = out.data<float>();
+  for (int64_t i = 0; i < g.num_elements(); ++i) {
+    if (!(po[i] > 0.0f)) pg[i] = 0.0f;
+  }
+  return g;
+}
+
+struct PongNet {
+  ConvLayer conv1, conv2;
+  DenseLayer dense, head;
+};
+
+// Layer inputs for `batch` Pong frames: conv [4,4,1,4]/2 -> conv [3,3,4,8]/2
+// (valid padding) -> dense 72->32 relu -> advantage head 32->3.
+PongNet make_net(int64_t batch) {
+  Rng rng(17);
+  VectorEnv env(bench::pong_env_spec(16), batch, 7);
+  Tensor frames = env.reset();
+  for (int s = 0; s < 8; ++s) {
+    frames = env.step(kernels::random_int(Shape{batch}, 3, rng)).observations;
+  }
+  PongNet net;
+  auto conv = [&rng](Tensor in, Shape filter_shape, int stride) {
+    ConvLayer l;
+    l.input = std::move(in);
+    l.filter = kernels::random_normal(filter_shape, 0.0, 0.3, rng);
+    l.bias = kernels::random_normal(Shape{filter_shape.dim(3)}, 0.0, 0.1, rng);
+    l.stride = stride;
+    Tensor out = kernels::fused_conv2d(l.input, l.filter, l.bias, stride,
+                                       false, kernels::FusedActivation::kRelu);
+    l.grad_out = relu_grad(out, rng);
+    return std::make_pair(l, out);
+  };
+  auto dense = [&rng](Tensor in, int64_t units) {
+    DenseLayer l;
+    l.input = std::move(in);
+    l.weights = kernels::random_normal(Shape{l.input.shape().dim(1), units},
+                                       0.0, 0.3, rng);
+    l.bias = kernels::random_normal(Shape{units}, 0.0, 0.1, rng);
+    Tensor out = kernels::fused_dense(l.input, l.weights, l.bias,
+                                      kernels::FusedActivation::kRelu);
+    l.grad_out = relu_grad(out, rng);
+    return std::make_pair(l, out);
+  };
+  auto [c1, h1] = conv(frames, Shape{4, 4, 1, 4}, 2);
+  auto [c2, h2] = conv(h1, Shape{3, 3, 4, 8}, 2);
+  auto [d1, h3] = dense(h2.reshaped(Shape{batch, 72}), 32);
+  auto [d2, q] = dense(h3, 3);
+  (void)q;
+  net.conv1 = c1;
+  net.conv2 = c2;
+  net.dense = d1;
+  net.head = d2;
+  return net;
+}
+
+const PongNet& net_for(int64_t batch) {
+  static std::map<int64_t, PongNet> nets;
+  auto it = nets.find(batch);
+  if (it == nets.end()) it = nets.emplace(batch, make_net(batch)).first;
+  return it->second;
+}
+
+void run(benchmark::State& state, const std::function<Tensor()>& call) {
+  for (auto _ : state) {
+    Tensor out = call();
+    benchmark::DoNotOptimize(out.data<float>());
+    benchmark::ClobberMemory();
+  }
+}
+
+template <typename Fn>
+void add(const std::string& name, Fn fn) {
+  benchmark::RegisterBenchmark(name.c_str(), fn)
+      ->Unit(benchmark::kMicrosecond);
+}
+
+void register_all() {
+  for (int64_t batch : kBatches) {
+    std::string suffix = "/batch:" + std::to_string(batch);
+    for (int li = 1; li <= 2; ++li) {
+      std::string layer = "/conv" + std::to_string(li);
+      auto conv = [batch, li]() -> const ConvLayer& {
+        const PongNet& n = net_for(batch);
+        return li == 1 ? n.conv1 : n.conv2;
+      };
+      add("conv2d" + layer + suffix, [conv](benchmark::State& s) {
+        const ConvLayer& l = conv();
+        run(s, [&l] {
+          return kernels::conv2d(l.input, l.filter, l.stride, false);
+        });
+      });
+      add("fused_conv2d" + layer + suffix, [conv](benchmark::State& s) {
+        const ConvLayer& l = conv();
+        run(s, [&l] {
+          return kernels::fused_conv2d(l.input, l.filter, l.bias, l.stride,
+                                       false, kernels::FusedActivation::kRelu);
+        });
+      });
+      add("conv2d_backprop_input" + layer + suffix,
+          [conv](benchmark::State& s) {
+            const ConvLayer& l = conv();
+            run(s, [&l] {
+              return kernels::conv2d_backprop_input(
+                  l.input.shape(), l.filter, l.grad_out, l.stride, false);
+            });
+          });
+      add("conv2d_backprop_filter" + layer + suffix,
+          [conv](benchmark::State& s) {
+            const ConvLayer& l = conv();
+            run(s, [&l] {
+              return kernels::conv2d_backprop_filter(
+                  l.input, l.filter.shape(), l.grad_out, l.stride, false);
+            });
+          });
+    }
+    for (int li = 1; li <= 2; ++li) {
+      std::string layer = li == 1 ? "/dense" : "/head";
+      auto dense = [batch, li]() -> const DenseLayer& {
+        const PongNet& n = net_for(batch);
+        return li == 1 ? n.dense : n.head;
+      };
+      add("matmul" + layer + suffix, [dense](benchmark::State& s) {
+        const DenseLayer& l = dense();
+        run(s, [&l] { return kernels::matmul(l.input, l.weights); });
+      });
+      // The two matmuls of the layer's backward pass: dx = dy W^T and
+      // dW = x^T dy (operands transposed once, outside the timed call).
+      add("matmul_grad_x" + layer + suffix, [dense](benchmark::State& s) {
+        const DenseLayer& l = dense();
+        Tensor wt = kernels::transpose2d(l.weights);
+        run(s, [&l, &wt] { return kernels::matmul(l.grad_out, wt); });
+      });
+      add("matmul_grad_w" + layer + suffix, [dense](benchmark::State& s) {
+        const DenseLayer& l = dense();
+        Tensor xt = kernels::transpose2d(l.input);
+        run(s, [&l, &xt] { return kernels::matmul(xt, l.grad_out); });
+      });
+      add("fused_dense" + layer + suffix, [dense](benchmark::State& s) {
+        const DenseLayer& l = dense();
+        run(s, [&l] {
+          return kernels::fused_dense(l.input, l.weights, l.bias,
+                                      kernels::FusedActivation::kRelu);
+        });
+      });
+    }
+  }
+}
+
+// Console output as usual, plus one bench::Reporter row per run.
+class RecordingReporter : public benchmark::ConsoleReporter {
+ public:
+  explicit RecordingReporter(bench::Reporter* out)
+      : ConsoleReporter(OO_Tabular), out_(out) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& r : runs) {
+      if (r.error_occurred) continue;
+      std::string name = r.benchmark_name();
+      // "<kernel>/<layer>/batch:<n>[_<aggregate>]"
+      size_t s1 = name.find('/');
+      size_t s2 = name.find('/', s1 + 1);
+      Json params;
+      params["kernel"] = Json(name.substr(0, s1));
+      params["layer"] = Json(name.substr(s1 + 1, s2 - s1 - 1));
+      params["batch"] = Json(static_cast<int64_t>(
+          std::stoll(name.substr(name.find(':', s2) + 1))));
+      params["threads"] = Json(static_cast<int64_t>(global_parallelism()));
+      out_->record(name, r.GetAdjustedRealTime(), "us", std::move(params));
+    }
+  }
+
+ private:
+  bench::Reporter* out_;
+};
+
+}  // namespace
+}  // namespace rlgraph
+
+int main(int argc, char** argv) {
+  using namespace rlgraph;
+  bench::print_header("Kernel tier: Pong conv and dense kernels, us per call");
+  bench::Reporter reporter("kernels", argc, argv);
+  benchmark::Initialize(&argc, argv);
+  register_all();
+  RecordingReporter display(&reporter);
+  benchmark::RunSpecifiedBenchmarks(&display);
+  benchmark::Shutdown();
+  return 0;
+}

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "util/thread_pool.h"
 
@@ -327,6 +328,221 @@ Tensor where(const Tensor& cond, const Tensor& a, const Tensor& b) {
   return out;
 }
 
+namespace {
+
+// --- register-tiled float kernels --------------------------------------------
+//
+// The convolutions (forward, both backprops) and the dense products run on
+// 4-lane float vectors written with GCC/Clang vector extensions: no
+// intrinsics, no target flags, no runtime CPU dispatch. Every lane does the
+// same IEEE single-precision multiply and add as the scalar expression, kept
+// apart (the library builds with -ffp-contract=off, so no FMA), and every
+// output element accumulates its products in the same order as a plain
+// scalar loop, so the results are bitwise those of that loop at any thread
+// count. DESIGN.md §4i spells out the loops and orders.
+typedef float v4f __attribute__((vector_size(16)));
+typedef int32_t v4i __attribute__((vector_size(16)));
+constexpr int kLanes = 4;
+
+inline v4f splat(float x) { return v4f{x, x, x, x}; }
+
+inline v4f load(const float* p) {
+  v4f v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// Lanes [0, n) of v to p, n in [1, kLanes); out of line so that the
+// full-vector path of store() keeps v in a register.
+[[gnu::noinline]] void store_partial(float* p, v4f v, int n) {
+  float lanes[kLanes];
+  std::memcpy(lanes, &v, sizeof v);
+  for (int l = 0; l < n; ++l) p[l] = lanes[l];
+}
+
+inline void store(float* p, v4f v, int n = kLanes) {
+  if (n != kLanes) return store_partial(p, v, n);
+  std::memcpy(p, &v, sizeof v);
+}
+
+// p[l] += v[l] for l in [0, n).
+inline void add_to(float* p, v4f v, int n) {
+  if (n == kLanes) return store(p, load(p) + v);
+  float lanes[kLanes];
+  std::memcpy(lanes, &v, sizeof v);
+  for (int l = 0; l < n; ++l) p[l] += lanes[l];
+}
+
+// acc + x * w, where the scalar loop this replaces skips a zero x. Adding
+// the product anyway is the same bit for bit when w is finite: x * w is then
+// a signed zero, and the accumulator, which starts at +0 and can never
+// become -0, does not change. A NaN or infinite weight would turn it into
+// NaN, so kMask (chosen once per call, when some weight is not finite)
+// masks the product of a zero x to +0 instead of branching on it.
+template <bool kMask>
+inline v4f mul_add(v4f acc, v4f x, v4f w) {
+  if constexpr (kMask) {
+    v4i keep = x != splat(0.0f);
+    return acc + (v4f)((v4i)(x * w) & keep);
+  } else {
+    return acc + x * w;
+  }
+}
+
+// No NaN or infinity in p[0, n): x - x is +0 exactly for every finite x and
+// NaN otherwise, and a NaN survives any sum.
+bool all_finite(const float* p, int64_t n) {
+  v4f acc[4] = {splat(0.0f), splat(0.0f), splat(0.0f), splat(0.0f)};
+  int64_t i = 0;
+  for (; i + 4 * kLanes <= n; i += 4 * kLanes) {
+    for (int u = 0; u < 4; ++u) {
+      v4f v = load(p + i + u * kLanes);
+      acc[u] += v - v;
+    }
+  }
+  float sum = 0.0f;
+  for (; i < n; ++i) sum += p[i] - p[i];
+  v4f total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+  for (int l = 0; l < kLanes; ++l) sum += total[l];
+  return sum == 0.0f;
+}
+
+// Per-call float buffer: on the stack up to kStackFloats, on the heap
+// beyond. Kernels run inside plan steps thousands of times a second, and a
+// heap allocation there brings the allocator's housekeeping into the
+// kernel: in the Ape-X learn loop a 1.4 KB std::vector per call took about
+// 80 us, three times the kernel's own work.
+class StackBuffer {
+ public:
+  explicit StackBuffer(int64_t n) {
+    if (n > kStackFloats) {
+      heap_.resize(static_cast<size_t>(n));
+      p_ = heap_.data();
+    }
+  }
+  StackBuffer(const StackBuffer&) = delete;
+  StackBuffer& operator=(const StackBuffer&) = delete;
+
+  float* data() { return p_; }
+
+ private:
+  static constexpr int64_t kStackFloats = 1024;
+  float stack_[kStackFloats];
+  std::vector<float> heap_;
+  float* p_ = stack_;
+};
+
+// The operand a kernel loads as vectors along its output channels: `rows`
+// rows of n floats, each padded with +0 to whole vectors (a copy only when
+// n is not a multiple of kLanes), so tiles never load a partial vector.
+struct VectorRows {
+  int64_t stride;  // floats per padded row
+  bool finite;     // no NaN or infinity: zero inputs need no mask
+  StackBuffer copy;
+  const float* p;
+
+  VectorRows(const float* src, int64_t rows, int64_t n)
+      : stride((n + kLanes - 1) / kLanes * kLanes),
+        finite(all_finite(src, rows * n)),
+        copy(stride == n ? 0 : rows * stride),
+        p(src) {
+    if (stride == n) return;
+    float* dst = copy.data();
+    for (int64_t r = 0; r < rows; ++r, dst += stride) {
+      std::memcpy(dst, src + r * n, static_cast<size_t>(n) * sizeof(float));
+      std::fill(dst + n, dst + stride, 0.0f);
+    }
+    p = copy.data();
+  }
+};
+
+// Splits [0, n) into register groups of one or two vectors and calls
+// fn(std::integral_constant<int, NV>, std::bool_constant<kMask>, first,
+// last_lanes) for each; only the last vector of the last group is partial.
+template <typename Fn>
+void for_each_vector_group(int64_t n, bool mask, Fn&& fn) {
+  auto call = [&](auto nv, int64_t j0, int last) {
+    if (mask) {
+      fn(nv, std::true_type{}, j0, last);
+    } else {
+      fn(nv, std::false_type{}, j0, last);
+    }
+  };
+  for (int64_t j0 = 0; j0 < n; j0 += 2 * kLanes) {
+    int64_t rem = n - j0;
+    if (rem > kLanes) {
+      call(std::integral_constant<int, 2>{}, j0,
+           static_cast<int>(std::min<int64_t>(rem - kLanes, kLanes)));
+    } else {
+      call(std::integral_constant<int, 1>{}, j0, static_cast<int>(rem));
+    }
+  }
+}
+
+// Lane count of vector v of an NV-vector group whose last vector has `last`.
+template <int NV>
+constexpr int lanes_of(int v, int last) {
+  return v + 1 < NV ? kLanes : last;
+}
+
+constexpr int kDenseRows = 4;  // rows per dense register tile
+
+// Rows [i0, i0 + R) x columns [j0, j0 + (NV - 1) * kLanes + last) of
+// a[m, k] * b[k, n], accumulated in registers over ascending k.
+template <int R, int NV, bool kMask>
+void dense_tile(const float* pa, const VectorRows& b, float* po, int64_t k,
+                int64_t n, int64_t i0, int64_t j0, int last) {
+  v4f acc[R][NV];
+  for (auto& row : acc) {
+    for (v4f& a : row) a = splat(0.0f);
+  }
+  const float* brow = b.p + j0;
+  for (int64_t kk = 0; kk < k; ++kk, brow += b.stride) {
+    v4f w[NV];
+    for (int v = 0; v < NV; ++v) w[v] = load(brow + v * kLanes);
+    for (int r = 0; r < R; ++r) {
+      v4f x = splat(pa[(i0 + r) * k + kk]);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = mul_add<kMask>(acc[r][v], x, w[v]);
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    float* orow = po + (i0 + r) * n + j0;
+    for (int v = 0; v < NV; ++v) {
+      store(orow + v * kLanes, acc[r][v], lanes_of<NV>(v, last));
+    }
+  }
+}
+
+// The product shared by matmul and fused_dense: shards over output rows
+// (disjoint writes); `epilogue(orow, rows)` finishes the shard's rows of n
+// outputs after the whole k loop.
+template <typename Epilogue>
+void dense_forward(const float* pa, const float* pb, float* po, int64_t m,
+                   int64_t k, int64_t n, Epilogue epilogue) {
+  VectorRows b(pb, k, n);
+  shard_range(rows_grain(2 * k * n), m, [&](int64_t r0, int64_t r1) {
+    // Column groups outside, rows inside: one group's panel of b stays in
+    // cache across the shard's row tiles.
+    for_each_vector_group(n, !b.finite, [&](auto nv, auto mask, int64_t j0,
+                                            int last) {
+      constexpr int NV = decltype(nv)::value;
+      constexpr bool kMask = decltype(mask)::value;
+      int64_t i = r0;
+      for (; i + kDenseRows <= r1; i += kDenseRows) {
+        dense_tile<kDenseRows, NV, kMask>(pa, b, po, k, n, i, j0, last);
+      }
+      for (; i < r1; ++i) {
+        dense_tile<1, NV, kMask>(pa, b, po, k, n, i, j0, last);
+      }
+    });
+    epilogue(po + r0 * n, r1 - r0);
+  });
+}
+
+}  // namespace
+
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check_dtype(a, DType::kFloat32, "matmul");
   check_dtype(b, DType::kFloat32, "matmul");
@@ -336,31 +552,9 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   int64_t m = a.shape().dim(0), k = a.shape().dim(1);
   int64_t k2 = b.shape().dim(0), n = b.shape().dim(1);
   RLG_REQUIRE(k == k2, "matmul inner dims mismatch: " << k << " vs " << k2);
-  Tensor out = Tensor::zeros(DType::kFloat32, Shape{m, n});
-  const float* pa = a.data<float>();
-  const float* pb = b.data<float>();
-  float* po = out.mutable_data<float>();
-  // Shard over output rows (disjoint writes); within a shard, block the k
-  // dimension so the touched rows of b stay cache-resident, keeping the ikj
-  // inner order. Per output element the accumulation still runs over k in
-  // ascending order, so results are bitwise identical at any thread count.
-  constexpr int64_t kKBlock = 256;
-  shard_range(rows_grain(2 * k * n), m,
-              [pa, pb, po, k, n](int64_t r0, int64_t r1) {
-                for (int64_t kb = 0; kb < k; kb += kKBlock) {
-                  int64_t ke = std::min(k, kb + kKBlock);
-                  for (int64_t i = r0; i < r1; ++i) {
-                    const float* arow = pa + i * k;
-                    float* orow = po + i * n;
-                    for (int64_t kk = kb; kk < ke; ++kk) {
-                      float av = arow[kk];
-                      if (av == 0.0f) continue;
-                      const float* brow = pb + kk * n;
-                      for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-                    }
-                  }
-                }
-              });
+  Tensor out(DType::kFloat32, Shape{m, n});
+  dense_forward(a.data<float>(), b.data<float>(), out.mutable_data<float>(), m,
+                k, n, [](float*, int64_t) {});
   return out;
 }
 
@@ -430,6 +624,232 @@ ConvDims conv_dims(const Shape& input, const Shape& filter, int stride,
   }
   return d;
 }
+
+// [lo, hi): the output positions o in [0, out) whose input indices
+// o * stride + first and o * stride + last both lie in [0, in).
+struct Span {
+  int64_t lo, hi;
+};
+Span span_inside(int64_t out, int64_t in, int64_t first, int64_t last,
+                 int stride) {
+  Span s{0, out};
+  while (s.lo < s.hi && s.lo * stride + first < 0) ++s.lo;
+  while (s.hi > s.lo && (s.hi - 1) * stride + last >= in) --s.hi;
+  return s;
+}
+
+// Output columns per forward register tile: eight accumulators either way.
+template <int NV>
+constexpr int kConvCols = 8 / NV;
+
+// Output columns [ow0, ow0 + cols) of row (b, oh) x output channels
+// [oc0, oc0 + (NV - 1) * kLanes + last), accumulated in registers over the
+// taps in ascending (fh, fw, c). The (fw, c) taps of one filter row are
+// contiguous both in the filter and along the input row, so each column
+// walks them as one run r = fw * in_c + c. Where a tile's columns reach into
+// the padding, they read from `window`, a zero-filled copy of the input
+// span, so a padding tap is a zero input; a column past `cols` repeats
+// column 0 and is never stored.
+template <int NV, bool kMask>
+void conv_forward_tile(const ConvDims& d, int stride, const float* pi,
+                       const VectorRows& f, float* po, float* window,
+                       int64_t b, int64_t oh,
+                       int64_t ow0, int cols, int64_t oc0, int last) {
+  constexpr int T = kConvCols<NV>;
+  v4f acc[T][NV];
+  for (auto& col : acc) {
+    for (v4f& a : col) a = splat(0.0f);
+  }
+  const int64_t taps = d.kw * d.in_c;
+  const int64_t iw0 = ow0 * stride - d.pad_w;  // first input column read
+  const int64_t span = (cols - 1) * stride + d.kw;
+  for (int64_t fh = 0; fh < d.kh; ++fh) {
+    int64_t ih = oh * stride + fh - d.pad_h;
+    if (ih < 0 || ih >= d.in_h) continue;  // a padding row: +0 for every tap
+    const float* irow = pi + (b * d.in_h + ih) * d.in_w * d.in_c;
+    const float* x0 = window;
+    if (iw0 >= 0 && iw0 + span <= d.in_w) {
+      x0 = irow + iw0 * d.in_c;
+    } else {
+      for (int64_t p = 0; p < span; ++p) {
+        int64_t iw = iw0 + p;
+        float* dst = window + p * d.in_c;
+        if (iw >= 0 && iw < d.in_w) {
+          std::memcpy(dst, irow + iw * d.in_c,
+                      static_cast<size_t>(d.in_c) * sizeof(float));
+        } else {
+          std::fill(dst, dst + d.in_c, 0.0f);
+        }
+      }
+    }
+    const float* xcol[T];
+    for (int t = 0; t < T; ++t) {
+      xcol[t] = x0 + (t < cols ? t : 0) * stride * d.in_c;
+    }
+    const float* frow = f.p + fh * taps * f.stride + oc0;
+    for (int64_t r = 0; r < taps; ++r, frow += f.stride) {
+      v4f w[NV];
+      for (int v = 0; v < NV; ++v) w[v] = load(frow + v * kLanes);
+      for (int t = 0; t < T; ++t) {
+        v4f x = splat(xcol[t][r]);
+        for (int v = 0; v < NV; ++v) {
+          acc[t][v] = mul_add<kMask>(acc[t][v], x, w[v]);
+        }
+      }
+    }
+  }
+  for (int t = 0; t < cols; ++t) {
+    float* opix = po + ((b * d.out_h + oh) * d.out_w + ow0 + t) * d.out_c + oc0;
+    for (int v = 0; v < NV; ++v) {
+      store(opix + v * kLanes, acc[t][v], lanes_of<NV>(v, last));
+    }
+  }
+}
+
+// The forward convolution shared by conv2d and fused_conv2d. Shards over
+// batch x out_h rows (each owns a disjoint slice of the output);
+// `epilogue(orow, pixels)` finishes each finished output row.
+template <typename Epilogue>
+void conv_forward(const ConvDims& d, int stride, const float* pi,
+                  const float* pf, float* po, Epilogue epilogue) {
+  VectorRows f(pf, d.kh * d.kw * d.in_c, d.out_c);
+  int64_t conv_row_flops = 2 * d.out_w * d.kh * d.kw * d.in_c * d.out_c;
+  shard_range(rows_grain(conv_row_flops), d.batch * d.out_h,
+              [&](int64_t row0, int64_t row1) {
+    // Only same padding has tiles whose input span leaves the input.
+    bool padded = d.pad_w > 0 || (d.out_w - 1) * stride + d.kw > d.in_w;
+    StackBuffer window(
+        padded ? ((kConvCols<1> - 1) * stride + d.kw) * d.in_c : 0);
+    for (int64_t row = row0; row < row1; ++row) {
+      int64_t b = row / d.out_h;
+      int64_t oh = row % d.out_h;
+      for_each_vector_group(d.out_c, !f.finite, [&](auto nv, auto mask,
+                                                    int64_t oc0, int last) {
+        constexpr int NV = decltype(nv)::value;
+        for (int64_t ow0 = 0; ow0 < d.out_w; ow0 += kConvCols<NV>) {
+          int cols = static_cast<int>(
+              std::min<int64_t>(kConvCols<NV>, d.out_w - ow0));
+          conv_forward_tile<NV, decltype(mask)::value>(
+              d, stride, pi, f, po, window.data(), b, oh, ow0, cols, oc0,
+              last);
+        }
+      });
+      epilogue(po + row * d.out_w * d.out_c, d.out_w);
+    }
+  });
+}
+
+void check_grad_out(const Tensor& grad_out, const ConvDims& d,
+                    const char* op) {
+  check_dtype(grad_out, DType::kFloat32, op);
+  Shape want{d.batch, d.out_h, d.out_w, d.out_c};
+  RLG_REQUIRE(grad_out.shape() == want,
+              op << ": grad_out must be " << want.to_string() << ", got "
+                 << grad_out.shape().to_string());
+}
+
+// Filter-gradient rows [r0, r0 + R) of filter row fh, where row r is tap
+// fw = r / in_c, channel c = r % in_c (contiguous in the filter and along
+// an input row), x output channels [oc0, oc0 + (NV - 1) * kLanes + last).
+// Each element sums over images [b0, b1) in ascending (b, oh, ow), in
+// registers. Positions where none of the tile's taps is inside the input
+// add nothing and are skipped; elsewhere a padding tap reads as a zero
+// input.
+template <int R, int NV, bool kMask>
+void filter_grad_tile(const ConvDims& d, int stride, const float* pi,
+                      const VectorRows& g, float* po, int64_t b0, int64_t b1,
+                      int64_t fh, int64_t r0, int64_t oc0, int last) {
+  int64_t fw_first = r0 / d.in_c;
+  int64_t fw_last = (r0 + R - 1) / d.in_c;
+  Span rows = span_inside(d.out_h, d.in_h, fh - d.pad_h, fh - d.pad_h, stride);
+  // Positions where some tap of the tile is inside, and where all are.
+  Span any = span_inside(d.out_w, d.in_w, fw_last - d.pad_w,
+                         fw_first - d.pad_w, stride);
+  Span all = span_inside(d.out_w, d.in_w, fw_first - d.pad_w,
+                         fw_last - d.pad_w, stride);
+  v4f acc[R][NV];
+  for (auto& row : acc) {
+    for (v4f& a : row) a = splat(0.0f);
+  }
+  for (int64_t b = b0; b < b1; ++b) {
+    for (int64_t oh = rows.lo; oh < rows.hi; ++oh) {
+      int64_t ih = oh * stride + fh - d.pad_h;
+      const float* grow = g.p + (b * d.out_h + oh) * d.out_w * g.stride + oc0;
+      const float* irow = pi + (b * d.in_h + ih) * d.in_w * d.in_c;
+      for (int64_t ow = any.lo; ow < any.hi; ++ow) {
+        // Input offset of tap (fw = 0, c = 0); negative left of the input.
+        int64_t base = (ow * stride - d.pad_w) * d.in_c + r0;
+        float xs[R];
+        if (ow >= all.lo && ow < all.hi) {
+          for (int r = 0; r < R; ++r) xs[r] = irow[base + r];
+        } else {
+          for (int r = 0; r < R; ++r) {
+            int64_t iw = ow * stride + (r0 + r) / d.in_c - d.pad_w;
+            xs[r] = iw >= 0 && iw < d.in_w ? irow[base + r] : 0.0f;
+          }
+        }
+        const float* gpix = grow + ow * g.stride;
+        v4f gv[NV];
+        for (int v = 0; v < NV; ++v) gv[v] = load(gpix + v * kLanes);
+        for (int r = 0; r < R; ++r) {
+          v4f x = splat(xs[r]);
+          for (int v = 0; v < NV; ++v) {
+            acc[r][v] = mul_add<kMask>(acc[r][v], x, gv[v]);
+          }
+        }
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    float* frow = po + (fh * d.kw * d.in_c + r0 + r) * d.out_c + oc0;
+    for (int v = 0; v < NV; ++v) {
+      store(frow + v * kLanes, acc[r][v], lanes_of<NV>(v, last));
+    }
+  }
+}
+
+constexpr int kFilterRows = 4;  // (fw, c) filter rows per gradient tile
+
+// Overwrites po with the filter gradient of images [b0, b1).
+void filter_grad(const ConvDims& d, int stride, const float* pi,
+                 const VectorRows& g, float* po, int64_t b0, int64_t b1) {
+  int64_t taps = d.kw * d.in_c;
+  for (int64_t fh = 0; fh < d.kh; ++fh) {
+    for_each_vector_group(d.out_c, !g.finite, [&](auto nv, auto mask,
+                                                  int64_t oc0, int last) {
+      constexpr int NV = decltype(nv)::value;
+      constexpr bool kMask = decltype(mask)::value;
+      int64_t r = 0;
+      for (; r + kFilterRows <= taps; r += kFilterRows) {
+        filter_grad_tile<kFilterRows, NV, kMask>(d, stride, pi, g, po, b0, b1,
+                                                 fh, r, oc0, last);
+      }
+      for (; r < taps; ++r) {
+        filter_grad_tile<1, NV, kMask>(d, stride, pi, g, po, b0, b1, fh, r,
+                                       oc0, last);
+      }
+    });
+  }
+}
+
+// Input-gradient run of NV vectors for one (output pixel, filter row):
+// lanes are (fw, c) taps r (contiguous in the input gradient row), each the
+// ascending-oc dot product of grad_out pixel gpix with the [fh][oc][r]
+// filter transpose ft, started from +0, then added to its input element.
+template <int NV>
+void input_grad_run(int64_t out_c, const float* gpix, const float* ft,
+                    int64_t ft_stride, float* ip, int last) {
+  v4f acc[NV];
+  for (v4f& a : acc) a = splat(0.0f);
+  for (int64_t oc = 0; oc < out_c; ++oc, ft += ft_stride) {
+    v4f g = splat(gpix[oc]);
+    for (int v = 0; v < NV; ++v) acc[v] = acc[v] + g * load(ft + v * kLanes);
+  }
+  for (int v = 0; v < NV; ++v) {
+    add_to(ip + v * kLanes, acc[v], lanes_of<NV>(v, last));
+  }
+}
+
 }  // namespace
 
 Tensor conv2d(const Tensor& input, const Tensor& filter, int stride,
@@ -437,83 +857,74 @@ Tensor conv2d(const Tensor& input, const Tensor& filter, int stride,
   check_dtype(input, DType::kFloat32, "conv2d");
   check_dtype(filter, DType::kFloat32, "conv2d");
   ConvDims d = conv_dims(input.shape(), filter.shape(), stride, same_padding);
-  Tensor out =
-      Tensor::zeros(DType::kFloat32, Shape{d.batch, d.out_h, d.out_w, d.out_c});
-  const float* pi = input.data<float>();
-  const float* pf = filter.data<float>();
-  float* po = out.mutable_data<float>();
-  // Shard over batch x out_h: every (b, oh) pair owns a disjoint slice of
-  // the output, and the per-pixel accumulation order is unchanged, so the
-  // result is bitwise identical to the serial loop.
-  int64_t conv_row_flops = 2 * d.out_w * d.kh * d.kw * d.in_c * d.out_c;
-  shard_range(rows_grain(conv_row_flops), d.batch * d.out_h,
-              [&d, pi, pf, po, stride](int64_t row0, int64_t row1) {
-    for (int64_t row = row0; row < row1; ++row) {
-      int64_t b = row / d.out_h;
-      int64_t oh = row % d.out_h;
-      for (int64_t ow = 0; ow < d.out_w; ++ow) {
-        float* opix = po + ((b * d.out_h + oh) * d.out_w + ow) * d.out_c;
-        for (int64_t fh = 0; fh < d.kh; ++fh) {
-          int64_t ih = oh * stride + fh - d.pad_h;
-          if (ih < 0 || ih >= d.in_h) continue;
-          for (int64_t fw = 0; fw < d.kw; ++fw) {
-            int64_t iw = ow * stride + fw - d.pad_w;
-            if (iw < 0 || iw >= d.in_w) continue;
-            const float* ipix = pi + ((b * d.in_h + ih) * d.in_w + iw) * d.in_c;
-            const float* fpix = pf + (fh * d.kw + fw) * d.in_c * d.out_c;
-            for (int64_t c = 0; c < d.in_c; ++c) {
-              float iv = ipix[c];
-              if (iv == 0.0f) continue;
-              const float* frow = fpix + c * d.out_c;
-              for (int64_t oc = 0; oc < d.out_c; ++oc) {
-                opix[oc] += iv * frow[oc];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
+  Tensor out(DType::kFloat32, Shape{d.batch, d.out_h, d.out_w, d.out_c});
+  conv_forward(d, stride, input.data<float>(), filter.data<float>(),
+               out.mutable_data<float>(), [](float*, int64_t) {});
   return out;
 }
 
 Tensor conv2d_backprop_input(const Shape& input_shape, const Tensor& filter,
                              const Tensor& grad_out, int stride,
                              bool same_padding) {
+  check_dtype(filter, DType::kFloat32, "conv2d_backprop_input");
   ConvDims d = conv_dims(input_shape, filter.shape(), stride, same_padding);
+  check_grad_out(grad_out, d, "conv2d_backprop_input");
   Tensor grad_in = Tensor::zeros(DType::kFloat32, input_shape);
+  // Filter transposed to [fh][oc][fw * in_c + c]: one filter row's taps are
+  // contiguous per output channel, as they are along an input row. Rows
+  // carry kLanes - 1 zeros of slack so a run may start at any tap.
+  const int64_t taps = d.kw * d.in_c;
+  const int64_t ft_stride = taps + kLanes - 1;
+  StackBuffer ft(d.kh * d.out_c * ft_stride);
+  float* pt = ft.data();
+  std::fill(pt, pt + d.kh * d.out_c * ft_stride, 0.0f);
   const float* pf = filter.data<float>();
+  for (int64_t fh = 0; fh < d.kh; ++fh) {
+    for (int64_t r = 0; r < taps; ++r) {
+      for (int64_t oc = 0; oc < d.out_c; ++oc) {
+        pt[(fh * d.out_c + oc) * ft_stride + r] =
+            pf[(fh * taps + r) * d.out_c + oc];
+      }
+    }
+  }
   const float* pg = grad_out.data<float>();
   float* po = grad_in.mutable_data<float>();
   // Output rows (oh) with stride < kernel height scatter into overlapping
-  // input rows, so the finest race-free shard is one batch image.
+  // input rows, so the finest race-free shard is one batch image. Within
+  // it every input element takes its taps' sums in ascending (oh, ow, fh,
+  // fw): one (oh, ow, fh) adds to each element at most once.
   int64_t image_flops = 2 * d.out_h * d.out_w * d.kh * d.kw * d.in_c * d.out_c;
   shard_range(rows_grain(image_flops), d.batch,
-              [&d, pf, pg, po, stride](int64_t b0, int64_t b1) {
+              [&d, pt, pg, po, taps, ft_stride, stride](int64_t b0,
+                                                        int64_t b1) {
     for (int64_t b = b0; b < b1; ++b) {
-    for (int64_t oh = 0; oh < d.out_h; ++oh) {
-      for (int64_t ow = 0; ow < d.out_w; ++ow) {
-        const float* gpix = pg + ((b * d.out_h + oh) * d.out_w + ow) * d.out_c;
-        for (int64_t fh = 0; fh < d.kh; ++fh) {
-          int64_t ih = oh * stride + fh - d.pad_h;
-          if (ih < 0 || ih >= d.in_h) continue;
-          for (int64_t fw = 0; fw < d.kw; ++fw) {
-            int64_t iw = ow * stride + fw - d.pad_w;
-            if (iw < 0 || iw >= d.in_w) continue;
-            float* ipix = po + ((b * d.in_h + ih) * d.in_w + iw) * d.in_c;
-            const float* fpix = pf + (fh * d.kw + fw) * d.in_c * d.out_c;
-            for (int64_t c = 0; c < d.in_c; ++c) {
-              const float* frow = fpix + c * d.out_c;
-              float acc = 0.0f;
-              for (int64_t oc = 0; oc < d.out_c; ++oc) {
-                acc += gpix[oc] * frow[oc];
+      for (int64_t oh = 0; oh < d.out_h; ++oh) {
+        for (int64_t ow = 0; ow < d.out_w; ++ow) {
+          const float* gpix =
+              pg + ((b * d.out_h + oh) * d.out_w + ow) * d.out_c;
+          // The taps inside the input: fw in fws, so r in [r_lo, r_hi).
+          int64_t iw0 = ow * stride - d.pad_w;
+          Span fws = span_inside(d.kw, d.in_w, iw0, iw0, 1);
+          int64_t r_lo = fws.lo * d.in_c, r_hi = fws.hi * d.in_c;
+          for (int64_t fh = 0; fh < d.kh; ++fh) {
+            int64_t ih = oh * stride + fh - d.pad_h;
+            if (ih < 0 || ih >= d.in_h) continue;
+            float* irow = po + (b * d.in_h + ih) * d.in_w * d.in_c;
+            const float* ft_row = pt + fh * d.out_c * ft_stride;
+            for (int64_t r = r_lo; r < r_hi; r += 2 * kLanes) {
+              int64_t len = std::min<int64_t>(2 * kLanes, r_hi - r);
+              float* ip = irow + (iw0 * d.in_c + r);  // tap r's element
+              if (len > kLanes) {
+                input_grad_run<2>(d.out_c, gpix, ft_row + r, ft_stride, ip,
+                                  static_cast<int>(len - kLanes));
+              } else {
+                input_grad_run<1>(d.out_c, gpix, ft_row + r, ft_stride, ip,
+                                  static_cast<int>(len));
               }
-              ipix[c] += acc;
             }
           }
         }
       }
-    }
     }
   });
   return grad_in;
@@ -522,55 +933,28 @@ Tensor conv2d_backprop_input(const Shape& input_shape, const Tensor& filter,
 Tensor conv2d_backprop_filter(const Tensor& input, const Shape& filter_shape,
                               const Tensor& grad_out, int stride,
                               bool same_padding) {
+  check_dtype(input, DType::kFloat32, "conv2d_backprop_filter");
   ConvDims d = conv_dims(input.shape(), filter_shape, stride, same_padding);
+  check_grad_out(grad_out, d, "conv2d_backprop_filter");
   const float* pi = input.data<float>();
-  const float* pg = grad_out.data<float>();
+  VectorRows g(grad_out.data<float>(), d.batch * d.out_h * d.out_w, d.out_c);
   // Every batch image scatters into the whole filter, so shards accumulate
   // private partial gradients over disjoint batch ranges, combined below in
   // a fixed pairwise tree — shard boundaries and tree shape depend only on
   // the problem size, never the thread count.
-  auto accumulate = [&d, pi, pg, stride](float* po, int64_t b0, int64_t b1) {
-    for (int64_t b = b0; b < b1; ++b) {
-      for (int64_t oh = 0; oh < d.out_h; ++oh) {
-        for (int64_t ow = 0; ow < d.out_w; ++ow) {
-          const float* gpix =
-              pg + ((b * d.out_h + oh) * d.out_w + ow) * d.out_c;
-          for (int64_t fh = 0; fh < d.kh; ++fh) {
-            int64_t ih = oh * stride + fh - d.pad_h;
-            if (ih < 0 || ih >= d.in_h) continue;
-            for (int64_t fw = 0; fw < d.kw; ++fw) {
-              int64_t iw = ow * stride + fw - d.pad_w;
-              if (iw < 0 || iw >= d.in_w) continue;
-              const float* ipix =
-                  pi + ((b * d.in_h + ih) * d.in_w + iw) * d.in_c;
-              float* fpix = po + (fh * d.kw + fw) * d.in_c * d.out_c;
-              for (int64_t c = 0; c < d.in_c; ++c) {
-                float iv = ipix[c];
-                if (iv == 0.0f) continue;
-                float* frow = fpix + c * d.out_c;
-                for (int64_t oc = 0; oc < d.out_c; ++oc) {
-                  frow[oc] += iv * gpix[oc];
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  };
-
   int64_t image_flops = 2 * d.out_h * d.out_w * d.kh * d.kw * d.in_c * d.out_c;
   ShardBounds sb = shard_bounds(rows_grain(image_flops), d.batch);
   if (sb.num_shards <= 1) {
-    Tensor grad_f = Tensor::zeros(DType::kFloat32, filter_shape);
-    accumulate(grad_f.mutable_data<float>(), 0, d.batch);
+    Tensor grad_f(DType::kFloat32, filter_shape);
+    filter_grad(d, stride, pi, g, grad_f.mutable_data<float>(), 0, d.batch);
     return grad_f;
   }
   std::vector<Tensor> partials(static_cast<size_t>(sb.num_shards));
   parallel_shards(rows_grain(image_flops), d.batch,
                   [&](int64_t shard, int64_t b0, int64_t b1) {
-                    Tensor p = Tensor::zeros(DType::kFloat32, filter_shape);
-                    accumulate(p.mutable_data<float>(), b0, b1);
+                    Tensor p(DType::kFloat32, filter_shape);
+                    filter_grad(d, stride, pi, g, p.mutable_data<float>(), b0,
+                                b1);
                     partials[static_cast<size_t>(shard)] = std::move(p);
                   });
   int64_t filter_elems = partials[0].num_elements();
@@ -962,16 +1346,34 @@ Tensor random_int(const Shape& shape, int64_t n, Rng& rng) {
 }
 
 namespace {
-// Exactly the activation expressions of the standalone unary kernels, so a
-// fused epilogue produces bit-identical results to the unfused op.
-inline float apply_fused_activation(float v, FusedActivation act) {
-  switch (act) {
-    case FusedActivation::kNone: return v;
-    case FusedActivation::kRelu: return v > 0.0f ? v : 0.0f;
-    case FusedActivation::kTanh: return std::tanh(v);
-    case FusedActivation::kSigmoid: return 1.0f / (1.0f + std::exp(-v));
+template <typename Act>
+void bias_activation_rows(float* p, int64_t rows, int64_t n,
+                          const float* bias, Act act) {
+  for (int64_t i = 0; i < rows; ++i, p += n) {
+    for (int64_t j = 0; j < n; ++j) p[j] = act(p[j] + bias[j]);
   }
-  return v;
+}
+
+// p[i][j] = act(p[i][j] + bias[j]) over `rows` rows of n, with exactly the
+// activation expressions of the standalone unary kernels, so a fused
+// epilogue produces bit-identical results to the unfused ops.
+void bias_activation(float* p, int64_t rows, int64_t n, const float* bias,
+                     FusedActivation act) {
+  switch (act) {
+    case FusedActivation::kNone:
+      return bias_activation_rows(p, rows, n, bias, [](float v) { return v; });
+    case FusedActivation::kRelu:
+      return bias_activation_rows(p, rows, n, bias, [](float v) {
+        return v > 0.0f ? v : 0.0f;
+      });
+    case FusedActivation::kTanh:
+      return bias_activation_rows(p, rows, n, bias,
+                                  [](float v) { return std::tanh(v); });
+    case FusedActivation::kSigmoid:
+      return bias_activation_rows(p, rows, n, bias, [](float v) {
+        return 1.0f / (1.0f + std::exp(-v));
+      });
+  }
 }
 }  // namespace
 
@@ -1000,37 +1402,14 @@ Tensor fused_dense(const Tensor& x, const Tensor& w, const Tensor& bias,
   RLG_REQUIRE(bias.shape().rank() == 1 && bias.shape().dim(0) == n,
               "fused_dense bias must be [" << n << "], got "
                                            << bias.shape().to_string());
-  Tensor out = Tensor::zeros(DType::kFloat32, Shape{m, n});
-  const float* pa = x.data<float>();
-  const float* pb = w.data<float>();
+  Tensor out(DType::kFloat32, Shape{m, n});
+  // matmul's body; the bias + activation epilogue runs on the shard's own
+  // rows after the full k loop, so fused == MatMul -> Add -> act bit for bit.
   const float* pbias = bias.data<float>();
-  float* po = out.mutable_data<float>();
-  // Same shard grain, k-blocking, and ascending-k accumulation as matmul;
-  // the bias + activation epilogue runs per owned row after the full k loop,
-  // inside the same shard, so fused == MatMul -> Add -> act bit for bit.
-  constexpr int64_t kKBlock = 256;
-  shard_range(rows_grain(2 * k * n), m,
-              [pa, pb, pbias, po, k, n, act](int64_t r0, int64_t r1) {
-                for (int64_t kb = 0; kb < k; kb += kKBlock) {
-                  int64_t ke = std::min(k, kb + kKBlock);
-                  for (int64_t i = r0; i < r1; ++i) {
-                    const float* arow = pa + i * k;
-                    float* orow = po + i * n;
-                    for (int64_t kk = kb; kk < ke; ++kk) {
-                      float av = arow[kk];
-                      if (av == 0.0f) continue;
-                      const float* brow = pb + kk * n;
-                      for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-                    }
-                  }
-                }
-                for (int64_t i = r0; i < r1; ++i) {
-                  float* orow = po + i * n;
-                  for (int64_t j = 0; j < n; ++j) {
-                    orow[j] = apply_fused_activation(orow[j] + pbias[j], act);
-                  }
-                }
-              });
+  dense_forward(x.data<float>(), w.data<float>(), out.mutable_data<float>(), m,
+                k, n, [pbias, n, act](float* rows, int64_t count) {
+                  bias_activation(rows, count, n, pbias, act);
+                });
   return out;
 }
 
@@ -1044,46 +1423,16 @@ Tensor fused_conv2d(const Tensor& input, const Tensor& filter,
   RLG_REQUIRE(bias.shape().rank() == 1 && bias.shape().dim(0) == d.out_c,
               "fused_conv2d bias must be [" << d.out_c << "], got "
                                             << bias.shape().to_string());
-  Tensor out =
-      Tensor::zeros(DType::kFloat32, Shape{d.batch, d.out_h, d.out_w, d.out_c});
-  const float* pi = input.data<float>();
-  const float* pf = filter.data<float>();
+  Tensor out(DType::kFloat32, Shape{d.batch, d.out_h, d.out_w, d.out_c});
+  // conv2d's body, plus a bias + activation epilogue on each output row the
+  // shard finishes.
   const float* pbias = bias.data<float>();
-  float* po = out.mutable_data<float>();
-  // conv2d's shard decomposition and accumulation order, plus a per-pixel
-  // bias + activation epilogue on the shard's own output rows.
-  int64_t conv_row_flops = 2 * d.out_w * d.kh * d.kw * d.in_c * d.out_c;
-  shard_range(rows_grain(conv_row_flops), d.batch * d.out_h,
-              [&d, pi, pf, pbias, po, stride, act](int64_t row0, int64_t row1) {
-    for (int64_t row = row0; row < row1; ++row) {
-      int64_t b = row / d.out_h;
-      int64_t oh = row % d.out_h;
-      for (int64_t ow = 0; ow < d.out_w; ++ow) {
-        float* opix = po + ((b * d.out_h + oh) * d.out_w + ow) * d.out_c;
-        for (int64_t fh = 0; fh < d.kh; ++fh) {
-          int64_t ih = oh * stride + fh - d.pad_h;
-          if (ih < 0 || ih >= d.in_h) continue;
-          for (int64_t fw = 0; fw < d.kw; ++fw) {
-            int64_t iw = ow * stride + fw - d.pad_w;
-            if (iw < 0 || iw >= d.in_w) continue;
-            const float* ipix = pi + ((b * d.in_h + ih) * d.in_w + iw) * d.in_c;
-            const float* fpix = pf + (fh * d.kw + fw) * d.in_c * d.out_c;
-            for (int64_t c = 0; c < d.in_c; ++c) {
-              float iv = ipix[c];
-              if (iv == 0.0f) continue;
-              const float* frow = fpix + c * d.out_c;
-              for (int64_t oc = 0; oc < d.out_c; ++oc) {
-                opix[oc] += iv * frow[oc];
-              }
-            }
-          }
-        }
-        for (int64_t oc = 0; oc < d.out_c; ++oc) {
-          opix[oc] = apply_fused_activation(opix[oc] + pbias[oc], act);
-        }
-      }
-    }
-  });
+  int64_t out_c = d.out_c;
+  conv_forward(d, stride, input.data<float>(), filter.data<float>(),
+               out.mutable_data<float>(),
+               [pbias, out_c, act](float* pixels, int64_t count) {
+                 bias_activation(pixels, count, out_c, pbias, act);
+               });
   return out;
 }
 

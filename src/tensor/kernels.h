@@ -60,6 +60,8 @@ Tensor transpose2d(const Tensor& a);
 // same_padding, stride >= 1. Output [B, Ho, Wo, Cout].
 Tensor conv2d(const Tensor& input, const Tensor& filter, int stride,
               bool same_padding);
+// Gradients of conv2d. grad_out must be float32 of conv2d's output shape
+// [B, Ho, Wo, Cout]; any other dtype or shape throws ValueError.
 Tensor conv2d_backprop_input(const Shape& input_shape, const Tensor& filter,
                              const Tensor& grad_out, int stride,
                              bool same_padding);

@@ -1,15 +1,22 @@
-// Tests for the numeric kernels, including parameterized broadcasting sweeps
-// and convolution forward/backward checks against naive references.
+// Tests for the numeric kernels, including parameterized broadcasting sweeps,
+// convolution forward/backward checks against naive references, and bitwise
+// checks of the conv and dense kernels against scalar reference loops.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
 
 #include "tensor/kernels.h"
+#include "util/thread_pool.h"
 
 namespace rlgraph {
 namespace {
 
 using kernels::add;
+using kernels::FusedActivation;
 using kernels::mul;
 
 Tensor floats(const Shape& s, std::vector<float> v) {
@@ -233,6 +240,411 @@ TEST(KernelsTest, ConvBackwardShapesAndFiniteDiff) {
     double fd = (loss(in, p) - loss(in, m)) / (2 * eps);
     EXPECT_NEAR(gf.at_flat(i), fd, 1e-2);
   }
+}
+
+// --- bitwise order ----------------------------------------------------------
+//
+// The conv and dense kernels promise results bitwise equal to plain scalar
+// loops that accumulate each output element in a fixed order and skip
+// exact-zero inputs. These are those loops, written as plain scalar code and
+// run serially; the kernels must match them byte for byte (memcmp), not
+// within a tolerance.
+
+struct RefConvDims {
+  int64_t batch, in_h, in_w, in_c, kh, kw, out_c, out_h, out_w, pad_h, pad_w;
+};
+
+RefConvDims ref_dims(const Shape& in, const Shape& f, int stride, bool same) {
+  RefConvDims d{in.dim(0), in.dim(1), in.dim(2), in.dim(3), f.dim(0),
+                f.dim(1),  f.dim(3),  0,         0,         0,  0};
+  if (same) {
+    d.out_h = (d.in_h + stride - 1) / stride;
+    d.out_w = (d.in_w + stride - 1) / stride;
+    d.pad_h = std::max<int64_t>(0, (d.out_h - 1) * stride + d.kh - d.in_h) / 2;
+    d.pad_w = std::max<int64_t>(0, (d.out_w - 1) * stride + d.kw - d.in_w) / 2;
+  } else {
+    d.out_h = (d.in_h - d.kh) / stride + 1;
+    d.out_w = (d.in_w - d.kw) / stride + 1;
+  }
+  return d;
+}
+
+float ref_activation(float v, FusedActivation act) {
+  switch (act) {
+    case FusedActivation::kNone: return v;
+    case FusedActivation::kRelu: return v > 0.0f ? v : 0.0f;
+    case FusedActivation::kTanh: return std::tanh(v);
+    case FusedActivation::kSigmoid: return 1.0f / (1.0f + std::exp(-v));
+  }
+  return v;
+}
+
+// Per output element: ascending (fh, fw, c), zero inputs and padding taps
+// skipped; then bias + activation when `bias` is given.
+Tensor ref_conv2d(const Tensor& input, const Tensor& filter, int stride,
+                  bool same, const Tensor* bias = nullptr,
+                  FusedActivation act = FusedActivation::kNone) {
+  RefConvDims d = ref_dims(input.shape(), filter.shape(), stride, same);
+  Tensor out =
+      Tensor::zeros(DType::kFloat32, Shape{d.batch, d.out_h, d.out_w, d.out_c});
+  const float* pi = input.data<float>();
+  const float* pf = filter.data<float>();
+  float* po = out.mutable_data<float>();
+  for (int64_t b = 0; b < d.batch; ++b) {
+    for (int64_t oh = 0; oh < d.out_h; ++oh) {
+      for (int64_t ow = 0; ow < d.out_w; ++ow) {
+        float* opix = po + ((b * d.out_h + oh) * d.out_w + ow) * d.out_c;
+        for (int64_t fh = 0; fh < d.kh; ++fh) {
+          int64_t ih = oh * stride + fh - d.pad_h;
+          if (ih < 0 || ih >= d.in_h) continue;
+          for (int64_t fw = 0; fw < d.kw; ++fw) {
+            int64_t iw = ow * stride + fw - d.pad_w;
+            if (iw < 0 || iw >= d.in_w) continue;
+            const float* ipix = pi + ((b * d.in_h + ih) * d.in_w + iw) * d.in_c;
+            const float* fpix = pf + (fh * d.kw + fw) * d.in_c * d.out_c;
+            for (int64_t c = 0; c < d.in_c; ++c) {
+              float iv = ipix[c];
+              if (iv == 0.0f) continue;
+              const float* frow = fpix + c * d.out_c;
+              for (int64_t oc = 0; oc < d.out_c; ++oc) {
+                opix[oc] += iv * frow[oc];
+              }
+            }
+          }
+        }
+        if (bias != nullptr) {
+          for (int64_t oc = 0; oc < d.out_c; ++oc) {
+            opix[oc] = ref_activation(opix[oc] + bias->data<float>()[oc], act);
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Per input element: taps in ascending (oh, ow, fh, fw), each the ascending-oc
+// dot product of grad_out and the filter, started from +0.
+Tensor ref_conv2d_backprop_input(const Shape& input_shape,
+                                 const Tensor& filter, const Tensor& grad_out,
+                                 int stride, bool same) {
+  RefConvDims d = ref_dims(input_shape, filter.shape(), stride, same);
+  Tensor grad_in = Tensor::zeros(DType::kFloat32, input_shape);
+  const float* pf = filter.data<float>();
+  const float* pg = grad_out.data<float>();
+  float* po = grad_in.mutable_data<float>();
+  for (int64_t b = 0; b < d.batch; ++b) {
+    for (int64_t oh = 0; oh < d.out_h; ++oh) {
+      for (int64_t ow = 0; ow < d.out_w; ++ow) {
+        const float* gpix = pg + ((b * d.out_h + oh) * d.out_w + ow) * d.out_c;
+        for (int64_t fh = 0; fh < d.kh; ++fh) {
+          int64_t ih = oh * stride + fh - d.pad_h;
+          if (ih < 0 || ih >= d.in_h) continue;
+          for (int64_t fw = 0; fw < d.kw; ++fw) {
+            int64_t iw = ow * stride + fw - d.pad_w;
+            if (iw < 0 || iw >= d.in_w) continue;
+            float* ipix = po + ((b * d.in_h + ih) * d.in_w + iw) * d.in_c;
+            const float* fpix = pf + (fh * d.kw + fw) * d.in_c * d.out_c;
+            for (int64_t c = 0; c < d.in_c; ++c) {
+              const float* frow = fpix + c * d.out_c;
+              float acc = 0.0f;
+              for (int64_t oc = 0; oc < d.out_c; ++oc) {
+                acc += gpix[oc] * frow[oc];
+              }
+              ipix[c] += acc;
+            }
+          }
+        }
+      }
+    }
+  }
+  return grad_in;
+}
+
+// Per filter element and shard of images: ascending (b, oh, ow), zero inputs
+// and padding taps skipped.
+Tensor ref_conv2d_backprop_filter(const Tensor& input, const Shape& f_shape,
+                                  const Tensor& grad_out, int stride,
+                                  bool same) {
+  RefConvDims d = ref_dims(input.shape(), f_shape, stride, same);
+  const float* pi = input.data<float>();
+  const float* pg = grad_out.data<float>();
+  auto accumulate = [&](float* po, int64_t b0, int64_t b1) {
+  for (int64_t b = b0; b < b1; ++b) {
+    for (int64_t oh = 0; oh < d.out_h; ++oh) {
+      for (int64_t ow = 0; ow < d.out_w; ++ow) {
+        const float* gpix = pg + ((b * d.out_h + oh) * d.out_w + ow) * d.out_c;
+        for (int64_t fh = 0; fh < d.kh; ++fh) {
+          int64_t ih = oh * stride + fh - d.pad_h;
+          if (ih < 0 || ih >= d.in_h) continue;
+          for (int64_t fw = 0; fw < d.kw; ++fw) {
+            int64_t iw = ow * stride + fw - d.pad_w;
+            if (iw < 0 || iw >= d.in_w) continue;
+            const float* ipix = pi + ((b * d.in_h + ih) * d.in_w + iw) * d.in_c;
+            float* fpix = po + (fh * d.kw + fw) * d.in_c * d.out_c;
+            for (int64_t c = 0; c < d.in_c; ++c) {
+              float iv = ipix[c];
+              if (iv == 0.0f) continue;
+              float* frow = fpix + c * d.out_c;
+              for (int64_t oc = 0; oc < d.out_c; ++oc) {
+                frow[oc] += iv * gpix[oc];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  };
+  // Images are split into shards by problem size alone (the same bounds as
+  // the kernel's, at any thread count); each shard's partial gradient sums
+  // its images in order, and the partials combine in a fixed pairwise tree.
+  int64_t image_flops = 2 * d.out_h * d.out_w * d.kh * d.kw * d.in_c * d.out_c;
+  int64_t grain = std::max<int64_t>(1, (int64_t{1} << 16) / image_flops);
+  ShardBounds sb = shard_bounds(grain, d.batch);
+  std::vector<Tensor> partials;
+  for (int64_t s = 0; s < std::max<int64_t>(1, sb.num_shards); ++s) {
+    partials.push_back(Tensor::zeros(DType::kFloat32, f_shape));
+    int64_t b0 = sb.num_shards <= 1 ? 0 : s * sb.shard_size;
+    int64_t b1 = sb.num_shards <= 1 ? d.batch
+                                    : std::min(d.batch, b0 + sb.shard_size);
+    accumulate(partials.back().mutable_data<float>(), b0, b1);
+  }
+  int64_t n = static_cast<int64_t>(partials.size());
+  for (int64_t step = 1; step < n; step *= 2) {
+    for (int64_t i = 0; i + step < n; i += 2 * step) {
+      float* dst = partials[static_cast<size_t>(i)].mutable_data<float>();
+      const float* src = partials[static_cast<size_t>(i + step)].data<float>();
+      for (int64_t e = 0; e < partials[0].num_elements(); ++e) dst[e] += src[e];
+    }
+  }
+  return partials[0];
+}
+
+// Per output element: ascending k, zero entries of a skipped; then bias +
+// activation when `bias` is given.
+Tensor ref_matmul(const Tensor& a, const Tensor& b,
+                  const Tensor* bias = nullptr,
+                  FusedActivation act = FusedActivation::kNone) {
+  int64_t m = a.shape().dim(0), k = a.shape().dim(1), n = b.shape().dim(1);
+  Tensor out = Tensor::zeros(DType::kFloat32, Shape{m, n});
+  const float* pa = a.data<float>();
+  const float* pb = b.data<float>();
+  float* po = out.mutable_data<float>();
+  for (int64_t i = 0; i < m; ++i) {
+    float* orow = po + i * n;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      float av = pa[i * k + kk];
+      if (av == 0.0f) continue;
+      for (int64_t j = 0; j < n; ++j) orow[j] += av * pb[kk * n + j];
+    }
+    if (bias != nullptr) {
+      for (int64_t j = 0; j < n; ++j) {
+        orow[j] = ref_activation(orow[j] + bias->data<float>()[j], act);
+      }
+    }
+  }
+  return out;
+}
+
+// Values that stress the zero mask: +0, -0, subnormals of both signs, and
+// normal values of mixed magnitude.
+Tensor tricky(const Shape& shape, uint64_t seed) {
+  std::mt19937 gen(static_cast<uint32_t>(seed));
+  std::uniform_int_distribution<int> kind(0, 9);
+  std::normal_distribution<float> normal(0.0f, 1.0f);
+  Tensor t(DType::kFloat32, shape);
+  float* p = t.mutable_data<float>();
+  for (int64_t i = 0; i < t.num_elements(); ++i) {
+    switch (kind(gen)) {
+      case 0: case 1: case 2: p[i] = 0.0f; break;
+      case 3: p[i] = -0.0f; break;
+      case 4: p[i] = (i % 2 ? -1.0f : 1.0f) * 3e-39f; break;
+      case 5: p[i] = std::numeric_limits<float>::denorm_min(); break;
+      default: p[i] = normal(gen) * (i % 3 ? 1.0f : 1e3f); break;
+    }
+  }
+  return t;
+}
+
+void expect_bitwise(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  ASSERT_EQ(got.dtype(), want.dtype()) << what;
+  EXPECT_EQ(std::memcmp(got.raw(), want.raw(), want.byte_size()), 0)
+      << what << "\n got " << got.to_string() << "\nwant " << want.to_string();
+}
+
+const FusedActivation kActivations[] = {
+    FusedActivation::kNone, FusedActivation::kRelu, FusedActivation::kTanh,
+    FusedActivation::kSigmoid};
+
+// with_input_grad = false leaves out conv2d_backprop_input, which has no
+// zero skip to match: a non-finite filter reaches its output either way,
+// and which NaN payload wins an add is up to operand order.
+void check_conv_bitwise(const Tensor& in, const Tensor& f, int stride,
+                        bool same, uint64_t seed,
+                        bool with_input_grad = true) {
+  std::string what = "in " + in.shape().to_string() + " f " +
+                     f.shape().to_string() + " stride " +
+                     std::to_string(stride) + (same ? " same" : " valid");
+  expect_bitwise(kernels::conv2d(in, f, stride, same),
+                 ref_conv2d(in, f, stride, same), "conv2d " + what);
+  Tensor bias = tricky(Shape{f.shape().dim(3)}, seed + 1);
+  for (FusedActivation act : kActivations) {
+    expect_bitwise(kernels::fused_conv2d(in, f, bias, stride, same, act),
+                   ref_conv2d(in, f, stride, same, &bias, act),
+                   "fused_conv2d act " +
+                       std::to_string(static_cast<int>(act)) + " " + what);
+  }
+  Shape out_shape = ref_conv2d(in, f, stride, same).shape();
+  Tensor g = tricky(out_shape, seed + 2);
+  if (with_input_grad) {
+    expect_bitwise(
+        kernels::conv2d_backprop_input(in.shape(), f, g, stride, same),
+        ref_conv2d_backprop_input(in.shape(), f, g, stride, same),
+        "conv2d_backprop_input " + what);
+  }
+  expect_bitwise(
+      kernels::conv2d_backprop_filter(in, f.shape(), g, stride, same),
+      ref_conv2d_backprop_filter(in, f.shape(), g, stride, same),
+      "conv2d_backprop_filter " + what);
+}
+
+void check_dense_bitwise(const Tensor& a, const Tensor& b, uint64_t seed) {
+  std::string what = a.shape().to_string() + " x " + b.shape().to_string();
+  expect_bitwise(kernels::matmul(a, b), ref_matmul(a, b), "matmul " + what);
+  Tensor bias = tricky(Shape{b.shape().dim(1)}, seed + 1);
+  for (FusedActivation act : kActivations) {
+    expect_bitwise(kernels::fused_dense(a, b, bias, act),
+                   ref_matmul(a, b, &bias, act),
+                   "fused_dense act " + std::to_string(static_cast<int>(act)) +
+                       " " + what);
+  }
+}
+
+TEST(KernelsBitwiseTest, PongLayers) {
+  for (int64_t batch : {1, 4, 33}) {
+    uint64_t seed = static_cast<uint64_t>(batch) * 100;
+    check_conv_bitwise(tricky(Shape{batch, 16, 16, 1}, seed),
+                       tricky(Shape{4, 4, 1, 4}, seed + 10), 2, false, seed);
+    check_conv_bitwise(tricky(Shape{batch, 7, 7, 4}, seed + 20),
+                       tricky(Shape{3, 3, 4, 8}, seed + 30), 2, false, seed);
+    check_dense_bitwise(tricky(Shape{batch, 72}, seed + 40),
+                        tricky(Shape{72, 32}, seed + 50), seed);
+    for (int64_t heads : {1, 3}) {
+      check_dense_bitwise(tricky(Shape{batch, 32}, seed + 60),
+                          tricky(Shape{32, heads}, seed + 70), seed);
+    }
+    // The backward matmuls: dy W^T and x^T dy.
+    check_dense_bitwise(tricky(Shape{batch, 32}, seed + 80),
+                        tricky(Shape{32, 72}, seed + 90), seed);
+    check_dense_bitwise(tricky(Shape{72, batch}, seed + 95),
+                        tricky(Shape{batch, 32}, seed + 99), seed);
+  }
+}
+
+TEST(KernelsBitwiseTest, ConvGeometrySweep) {
+  struct Geometry {
+    int64_t h, w, kh, kw;
+  };
+  // Output widths 1 to 9, so column tiles end full and partial; the last
+  // geometry's kernel is larger than its input (same padding only).
+  const Geometry geometries[] = {{5, 6, 3, 3}, {7, 9, 2, 4}, {2, 3, 3, 3}};
+  uint64_t seed = 1;
+  for (const Geometry& g : geometries) {
+    for (int stride : {1, 2}) {
+      for (bool same : {false, true}) {
+        if (!same && (g.h < g.kh || g.w < g.kw)) continue;
+        for (int64_t cin : {1, 3, 4}) {
+          for (int64_t cout : {1, 3, 4, 5, 8, 12}) {
+            seed += 7;
+            check_conv_bitwise(tricky(Shape{2, g.h, g.w, cin}, seed),
+                               tricky(Shape{g.kh, g.kw, cin, cout}, seed + 3),
+                               stride, same, seed);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsBitwiseTest, DenseShapeSweep) {
+  uint64_t seed = 5;
+  for (int64_t m : {1, 3, 4, 5, 9, 33}) {
+    for (int64_t k : {1, 7, 72}) {
+      for (int64_t n : {1, 3, 4, 5, 8, 12, 32, 33}) {
+        seed += 11;
+        check_dense_bitwise(tricky(Shape{m, k}, seed),
+                            tricky(Shape{k, n}, seed + 3), seed);
+      }
+    }
+  }
+}
+
+// A NaN or infinite weight under an input that is always zero never reaches
+// the output: the scalar loop skips the zero, the vector body masks it.
+TEST(KernelsBitwiseTest, NonFiniteWeightUnderZeroInput) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (bool same : {false, true}) {
+    Tensor in = tricky(Shape{3, 6, 7, 3}, 41);
+    float* pi = in.mutable_data<float>();
+    for (int64_t i = 1; i < in.num_elements(); i += 3) {
+      pi[i] = (i / 3) % 2 ? -0.0f : 0.0f;  // channel 1: all +-0
+    }
+    Tensor f = tricky(Shape{3, 3, 3, 5}, 42);
+    float* pf = f.mutable_data<float>();
+    for (int64_t tap = 0; tap < 9; ++tap) {
+      pf[(tap * 3 + 1) * 5 + tap % 5] = tap % 2 ? nan : -inf;
+    }
+    check_conv_bitwise(in, f, 1, same, 43, /*with_input_grad=*/false);
+    for (FusedActivation act : kActivations) {
+      Tensor out = kernels::fused_conv2d(in, f, tricky(Shape{5}, 44), 1, same,
+                                         act);
+      for (float v : out.to_floats()) EXPECT_FALSE(std::isnan(v));
+    }
+  }
+  Tensor a = tricky(Shape{9, 6}, 45);
+  float* pa = a.mutable_data<float>();
+  for (int64_t i = 0; i < 9; ++i) pa[i * 6 + 2] = i % 2 ? -0.0f : 0.0f;
+  Tensor b = tricky(Shape{6, 10}, 46);
+  float* pb = b.mutable_data<float>();
+  for (int64_t j = 0; j < 10; ++j) pb[2 * 10 + j] = j % 2 ? nan : inf;
+  check_dense_bitwise(a, b, 47);
+  for (float v : kernels::matmul(a, b).to_floats()) {
+    EXPECT_FALSE(std::isnan(v));
+  }
+}
+
+// Both backprops read grad_out as [B, Ho, Wo, Cout] float32; anything else
+// is rejected before a single element is read.
+TEST(KernelsTest, ConvBackpropRejectsMismatchedGradOut) {
+  Rng rng(3);
+  Shape in_shape{2, 6, 6, 3};
+  Shape f_shape{3, 3, 3, 4};
+  Tensor in = kernels::random_uniform(in_shape, -1, 1, rng);
+  Tensor f = kernels::random_uniform(f_shape, -1, 1, rng);
+  // conv2d(in, f, 1, valid) is [2, 4, 4, 4].
+  const Tensor bad[] = {
+      Tensor::zeros(DType::kFloat32, Shape{1, 4, 4, 4}),  // batch
+      Tensor::zeros(DType::kFloat32, Shape{2, 3, 4, 4}),  // height
+      Tensor::zeros(DType::kFloat32, Shape{2, 4, 2, 4}),  // width
+      Tensor::zeros(DType::kFloat32, Shape{2, 4, 4, 2}),  // channels
+      Tensor::zeros(DType::kFloat32, Shape{2, 16, 4}),    // rank
+      Tensor::zeros(DType::kInt32, Shape{2, 4, 4, 4}),    // dtype
+  };
+  for (const Tensor& g : bad) {
+    EXPECT_THROW(kernels::conv2d_backprop_input(in_shape, f, g, 1, false),
+                 ValueError)
+        << g.shape().to_string();
+    EXPECT_THROW(kernels::conv2d_backprop_filter(in, f_shape, g, 1, false),
+                 ValueError)
+        << g.shape().to_string();
+  }
+  Tensor good = Tensor::zeros(DType::kFloat32, Shape{2, 4, 4, 4});
+  EXPECT_NO_THROW(kernels::conv2d_backprop_input(in_shape, f, good, 1, false));
+  EXPECT_NO_THROW(kernels::conv2d_backprop_filter(in, f_shape, good, 1, false));
 }
 
 TEST(KernelsTest, Reductions) {
