@@ -1,6 +1,10 @@
 // Kernel tier: the six convolution and dense kernels of the Pong dueling DQN
 // (bench_common.h's pong_agent_config on 16x16 frames), timed one call at a
-// time at batch 4 (act), 32 (learner update) and 100 (worker priorities).
+// time at batch 4 (act), 32 (learner update) and 100 (worker priorities),
+// plus the elementwise kernels at the shapes the act step and the Adam
+// update run them: the preprocessor's rescale, the conv and dense bias adds,
+// the optimizer's scalar and same-shape products, the ReLU gradient's
+// per-element where and a fused bias + ReLU chain.
 //
 // Inputs are what the network really sees, because the kernels' cost depends
 // on how many inputs are exactly zero: conv1 reads stacked Pong frames from
@@ -11,9 +15,10 @@
 //   ./build/bench/bench_kernels [--json out.json] [google-benchmark flags]
 //
 // Each row is the real time of one call in microseconds; --json writes them
-// through bench::Reporter with {kernel, layer, batch, threads} params. The
-// kernels shard over RLGRAPH_NUM_THREADS like everywhere else; set it to 1
-// to time the serial loops.
+// through bench::Reporter with {kernel, layer, batch, threads} params (rows
+// on weight-shaped tensors have no batch). The kernels shard over
+// RLGRAPH_NUM_THREADS like everywhere else; set it to 1 to time the serial
+// loops.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -193,6 +198,67 @@ void register_all() {
   }
 }
 
+// Elementwise rows: "<kernel>/<shape>/batch:<n>", or "<kernel>/<shape>" on
+// weight-shaped operands.
+void register_elementwise() {
+  auto net = [] { return &net_for(4); };
+  add("mul/rescale_4x16x16x1_scalar/batch:4", [net](benchmark::State& s) {
+    const Tensor& frames = net()->conv1.input;
+    Tensor scale = Tensor::scalar(1.0f / 255.0f);
+    run(s, [&] { return kernels::mul(frames, scale); });
+  });
+  auto bias_add = [](const std::string& name, auto layer) {
+    add(name, [layer](benchmark::State& s) {
+      auto [x, bias] = layer();
+      run(s, [&x = x, &bias = bias] { return kernels::add(x, bias); });
+    });
+  };
+  bias_add("add/conv1_bias_4x7x7x4/batch:4", [net] {
+    const ConvLayer& l = net()->conv1;
+    return std::make_pair(kernels::conv2d(l.input, l.filter, l.stride, false),
+                          l.bias);
+  });
+  bias_add("add/conv2_bias_4x3x3x8/batch:4", [net] {
+    const ConvLayer& l = net()->conv2;
+    return std::make_pair(kernels::conv2d(l.input, l.filter, l.stride, false),
+                          l.bias);
+  });
+  bias_add("add/dense_bias_4x32/batch:4", [net] {
+    const DenseLayer& l = net()->dense;
+    return std::make_pair(kernels::matmul(l.input, l.weights), l.bias);
+  });
+  // Adam on the 72x32 dense weights: a scalar coefficient times a moment,
+  // and the squared-gradient product.
+  add("mul/adam_72x32_scalar", [](benchmark::State& s) {
+    const Tensor& w = net_for(32).dense.weights;
+    Tensor beta = Tensor::scalar(0.9f);
+    run(s, [&] { return kernels::mul(w, beta); });
+  });
+  add("mul/adam_72x32_ewise", [](benchmark::State& s) {
+    const DenseLayer& l = net_for(32).dense;
+    Tensor grad = kernels::matmul(kernels::transpose2d(l.input), l.grad_out);
+    run(s, [&] { return kernels::mul(grad, grad); });
+  });
+  // The conv1 ReLU gradient in the learner update.
+  add("where/relu_grad_32x7x7x4/batch:32", [](benchmark::State& s) {
+    const ConvLayer& l = net_for(32).conv1;
+    Tensor out = kernels::fused_conv2d(l.input, l.filter, l.bias, l.stride,
+                                       false, kernels::FusedActivation::kRelu);
+    Tensor positive = kernels::greater(out, Tensor::scalar(0.0f));
+    Tensor zeros = Tensor::zeros(DType::kFloat32, out.shape());
+    run(s, [&] { return kernels::where(positive, l.grad_out, zeros); });
+  });
+  add("fused_elementwise/conv1_bias_relu_4x7x7x4/batch:4",
+      [net](benchmark::State& s) {
+        const ConvLayer& l = net()->conv1;
+        Tensor x = kernels::conv2d(l.input, l.filter, l.stride, false);
+        const std::vector<Tensor> extras = {l.bias};
+        const std::vector<kernels::EwiseLink> links = {
+            {"Add", true, true, 0}, {"Relu", false, true, -1}};
+        run(s, [&] { return kernels::fused_elementwise(x, extras, links); });
+      });
+}
+
 // Console output as usual, plus one bench::Reporter row per run.
 class RecordingReporter : public benchmark::ConsoleReporter {
  public:
@@ -204,14 +270,16 @@ class RecordingReporter : public benchmark::ConsoleReporter {
     for (const Run& r : runs) {
       if (r.error_occurred) continue;
       std::string name = r.benchmark_name();
-      // "<kernel>/<layer>/batch:<n>[_<aggregate>]"
+      // "<kernel>/<layer>[/batch:<n>][_<aggregate>]"
       size_t s1 = name.find('/');
       size_t s2 = name.find('/', s1 + 1);
       Json params;
       params["kernel"] = Json(name.substr(0, s1));
       params["layer"] = Json(name.substr(s1 + 1, s2 - s1 - 1));
-      params["batch"] = Json(static_cast<int64_t>(
-          std::stoll(name.substr(name.find(':', s2) + 1))));
+      if (s2 != std::string::npos) {
+        params["batch"] = Json(static_cast<int64_t>(
+            std::stoll(name.substr(name.find(':', s2) + 1))));
+      }
       params["threads"] = Json(static_cast<int64_t>(global_parallelism()));
       out_->record(name, r.GetAdjustedRealTime(), "us", std::move(params));
     }
@@ -226,10 +294,12 @@ class RecordingReporter : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   using namespace rlgraph;
-  bench::print_header("Kernel tier: Pong conv and dense kernels, us per call");
+  bench::print_header(
+      "Kernel tier: Pong conv, dense and elementwise kernels, us per call");
   bench::Reporter reporter("kernels", argc, argv);
   benchmark::Initialize(&argc, argv);
   register_all();
+  register_elementwise();
   RecordingReporter display(&reporter);
   benchmark::RunSpecifiedBenchmarks(&display);
   benchmark::Shutdown();

@@ -197,6 +197,11 @@ void register_math_ops(OpRegistry& r) {
       r, "Where",
       [](const SIC& c) {
         RLG_REQUIRE(c.input_shapes.size() == 3, "Where expects 3 inputs");
+        RLG_REQUIRE(is_leading_prefix(c.input_shapes[0], c.input_shapes[1]),
+                    "Where: cond shape " << c.input_shapes[0].to_string()
+                                         << " must equal or be a leading "
+                                            "prefix of "
+                                         << c.input_shapes[1].to_string());
         return single(c.input_dtypes[1], c.input_shapes[1]);
       },
       [](KernelContext& k) {

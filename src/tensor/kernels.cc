@@ -42,102 +42,185 @@ inline int64_t rows_grain(int64_t flops_per_row) {
   return std::max<int64_t>(1, kGrainFlops / std::max<int64_t>(1, flops_per_row));
 }
 
-// Iterator state for broadcasting: maps a flat output index to flat input
-// indices given per-input strides (stride 0 on broadcast dimensions).
-struct BroadcastPlan {
-  Shape out_shape;
-  std::vector<int64_t> a_strides;
-  std::vector<int64_t> b_strides;
+// --- coalesced broadcast walk ------------------------------------------------
+//
+// Every elementwise kernel writes its output in flat order and reads each
+// operand through per-dimension strides, 0 on a dimension it broadcasts
+// over. Before iterating, the dimensions are coalesced: size-1 dimensions
+// are dropped, and adjacent dimensions merge when every operand is
+// contiguous across the boundary. (4,7,7,4)+(4) walks [196]x[4] with
+// strides a = (4, 1), b = (0, 1); a scalar operand is one dimension of
+// stride 0; same-shape operands are one contiguous run. The walk state
+// lives in fixed-size arrays, so iterating allocates nothing.
+constexpr int kMaxWalkDims = 8;
+
+// Coalesced geometry of an output and N operands, innermost dim first;
+// always at least two dims (padded with size 1, stride 0).
+template <int N>
+struct Walk {
+  int rank = 0;
+  int64_t dim[kMaxWalkDims];
+  int64_t stride[N][kMaxWalkDims];
 };
 
-std::vector<int64_t> contiguous_strides(const Shape& s) {
-  std::vector<int64_t> strides(static_cast<size_t>(s.rank()));
-  int64_t acc = 1;
-  for (int i = s.rank() - 1; i >= 0; --i) {
-    strides[static_cast<size_t>(i)] = acc;
-    acc *= s.dim(i);
+// One operand of a walk: its shape aligned to the output's trailing dims,
+// as if followed by `trailing_ones` size-1 dims (where's cond aligns to the
+// leading dims). Every dim must be 1 or the output's; callers check that.
+struct WalkOperand {
+  const Shape* shape = nullptr;
+  int trailing_ones = 0;
+};
+
+[[noreturn]] void throw_rank_cap(const char* op, const Shape& out,
+                                 const WalkOperand* in, int count) {
+  std::string shapes;
+  for (int j = 0; j < count; ++j) {
+    if (j > 0) shapes += " and ";
+    shapes += in[j].shape->to_string();
   }
-  return strides;
+  throw ValueError(std::string(op) + ": broadcasting " + shapes + " into " +
+                   out.to_string() + " leaves more than " +
+                   std::to_string(kMaxWalkDims) +
+                   " dimensions after coalescing");
 }
 
-BroadcastPlan make_plan(const Shape& a, const Shape& b) {
-  BroadcastPlan plan;
-  plan.out_shape = broadcast_shapes(a, b);
-  RLG_REQUIRE(plan.out_shape.fully_specified(),
-              "broadcast of partial shapes at runtime");
-  int rank = plan.out_shape.rank();
-  auto as = contiguous_strides(a);
-  auto bs = contiguous_strides(b);
-  plan.a_strides.assign(static_cast<size_t>(rank), 0);
-  plan.b_strides.assign(static_cast<size_t>(rank), 0);
-  for (int i = 0; i < rank; ++i) {
-    int ai = a.rank() - rank + i;
-    int bi = b.rank() - rank + i;
-    if (ai >= 0 && a.dim(ai) != 1) {
-      plan.a_strides[static_cast<size_t>(i)] = as[static_cast<size_t>(ai)];
+// Operands past `count` read nothing (stride 0 everywhere).
+template <int N>
+Walk<N> coalesce(const char* op, const Shape& out, const WalkOperand* in,
+                 int count) {
+  Walk<N> w;
+  int64_t contiguous[N];  // operand j's row-major stride at out dim i
+  for (int j = 0; j < N; ++j) contiguous[j] = 1;
+  const std::vector<int64_t>& dims = out.dims();
+  for (int i = out.rank() - 1; i >= 0; --i) {
+    int64_t s[N];
+    for (int j = 0; j < N; ++j) {
+      s[j] = 0;
+      if (j >= count) continue;
+      const std::vector<int64_t>& in_dims = in[j].shape->dims();
+      int rank = static_cast<int>(in_dims.size());
+      int k = rank + in[j].trailing_ones - out.rank() + i;
+      if (k < 0 || k >= rank || in_dims[static_cast<size_t>(k)] == 1) continue;
+      s[j] = contiguous[j];
+      contiguous[j] *= in_dims[static_cast<size_t>(k)];
     }
-    if (bi >= 0 && b.dim(bi) != 1) {
-      plan.b_strides[static_cast<size_t>(i)] = bs[static_cast<size_t>(bi)];
+    int64_t d = dims[static_cast<size_t>(i)];
+    if (d == 1) continue;
+    if (w.rank > 0) {
+      int r = w.rank - 1;
+      bool merge = true;
+      for (int j = 0; j < N; ++j) merge &= s[j] == w.stride[j][r] * w.dim[r];
+      if (merge) {
+        w.dim[r] *= d;
+        continue;
+      }
     }
+    if (w.rank == kMaxWalkDims) throw_rank_cap(op, out, in, count);
+    for (int j = 0; j < N; ++j) w.stride[j][w.rank] = s[j];
+    w.dim[w.rank++] = d;
   }
-  return plan;
+  while (w.rank < 2) {
+    for (int j = 0; j < N; ++j) w.stride[j][w.rank] = 0;
+    w.dim[w.rank++] = 1;
+  }
+  return w;
 }
 
-// Apply binary fn elementwise with broadcasting; Fa/Fb are input element
-// types, Fo is the output element type.
+// Calls row(flat, off, len) for every run of the innermost dim within the
+// output elements [begin, end): `flat` is the output index of the run's
+// first element, off[j] operand j's, and len <= dim[0] (only a range's first
+// and last run can be partial). The two innermost dims are a nested loop,
+// so a short row pays no carry; the carry through the outer dims runs once
+// per dim[0] * dim[1] elements.
+template <int N, typename Row>
+void walk(const Walk<N>& w, int64_t begin, int64_t end, Row&& row) {
+  if (begin >= end) return;
+  int64_t coord[kMaxWalkDims];
+  int64_t base[N] = {};  // operand offsets at coord[0] = 0 of the current row
+  int64_t rem = begin;
+  for (int k = 0; k < w.rank; ++k) {
+    coord[k] = rem % w.dim[k];
+    rem /= w.dim[k];
+    if (k == 0) continue;
+    for (int j = 0; j < N; ++j) base[j] += coord[k] * w.stride[j][k];
+  }
+  int64_t flat = begin;
+  int64_t c0 = coord[0];
+  while (true) {
+    for (int64_t c1 = coord[1]; c1 < w.dim[1]; ++c1) {
+      int64_t len = std::min(w.dim[0] - c0, end - flat);
+      int64_t off[N];
+      for (int j = 0; j < N; ++j) off[j] = base[j] + c0 * w.stride[j][0];
+      row(flat, static_cast<const int64_t*>(off), len);
+      flat += len;
+      if (flat == end) return;
+      c0 = 0;
+      for (int j = 0; j < N; ++j) base[j] += w.stride[j][1];
+    }
+    for (int j = 0; j < N; ++j) base[j] -= w.dim[1] * w.stride[j][1];
+    coord[1] = 0;
+    for (int k = 2; k < w.rank; ++k) {
+      for (int j = 0; j < N; ++j) base[j] += w.stride[j][k];
+      if (++coord[k] < w.dim[k]) break;
+      for (int j = 0; j < N; ++j) base[j] -= w.dim[k] * w.stride[j][k];
+      coord[k] = 0;
+    }
+  }
+}
+
+// Runs row over all n output elements, sharded like every streaming kernel.
+template <int N, typename Row>
+void walk_all(const Walk<N>& w, int64_t grain, int64_t n, const Row& row) {
+  shard_range(grain, n, [&w, &row](int64_t begin, int64_t end) {
+    walk(w, begin, end, row);
+  });
+}
+
+// Apply binary fn elementwise with broadcasting; Fa is the input element
+// type, Fo the output's. The innermost run is specialized on its stride
+// pattern: (1, 1), (1, 0) and (0, 1) are plain contiguous loops the
+// compiler vectorizes. Each output element is fn(a[i], b[j]) on the same
+// pair as a per-element loop, so the bits do not depend on the walk.
 template <typename Fa, typename Fo, typename Fn>
 Tensor binary_broadcast(const Tensor& a, const Tensor& b, DType out_dtype,
-                        Fn fn) {
-  if (a.shape() == b.shape()) {
-    // Fast path: no index arithmetic; shards write disjoint output ranges.
-    Tensor out(out_dtype, a.shape());
-    const Fa* pa = a.data<Fa>();
-    const Fa* pb = b.data<Fa>();
-    Fo* po = out.mutable_data<Fo>();
-    shard_range(kCheapGrain, a.num_elements(),
-                [pa, pb, po, fn](int64_t begin, int64_t end) {
-                  for (int64_t i = begin; i < end; ++i) {
-                    po[i] = fn(pa[i], pb[i]);
-                  }
-                });
-    return out;
-  }
-  BroadcastPlan plan = make_plan(a.shape(), b.shape());
-  Tensor out(out_dtype, plan.out_shape);
+                        Fn fn, const char* op) {
+  Tensor out = a.shape() == b.shape()
+                   ? Tensor(out_dtype, a.shape())
+                   : Tensor(out_dtype, broadcast_shapes(a.shape(), b.shape()));
+  const WalkOperand in[2] = {{&a.shape()}, {&b.shape()}};
+  const Walk<2> w = coalesce<2>(op, out.shape(), in, 2);
   const Fa* pa = a.data<Fa>();
   const Fa* pb = b.data<Fa>();
   Fo* po = out.mutable_data<Fo>();
-  int rank = plan.out_shape.rank();
-  int64_t n = plan.out_shape.num_elements();
-  // Each shard seeds its odometer (and the two strided input cursors) from
-  // its first flat index, then walks its range exactly like the serial loop.
-  shard_range(kCheapGrain, n, [&plan, pa, pb, po, fn, rank](int64_t begin,
-                                                           int64_t end) {
-    std::vector<int64_t> idx(static_cast<size_t>(rank), 0);
-    int64_t ia = 0, ib = 0;
-    int64_t rem = begin;
-    for (int d = rank - 1; d >= 0; --d) {
-      auto du = static_cast<size_t>(d);
-      idx[du] = rem % plan.out_shape.dim(d);
-      rem /= plan.out_shape.dim(d);
-      ia += idx[du] * plan.a_strides[du];
-      ib += idx[du] * plan.b_strides[du];
-    }
-    for (int64_t flat = begin; flat < end; ++flat) {
-      po[flat] = fn(pa[ia], pb[ib]);
-      // Odometer increment.
-      for (int d = rank - 1; d >= 0; --d) {
-        auto du = static_cast<size_t>(d);
-        ++idx[du];
-        ia += plan.a_strides[du];
-        ib += plan.b_strides[du];
-        if (idx[du] < plan.out_shape.dim(d)) break;
-        ia -= plan.a_strides[du] * idx[du];
-        ib -= plan.b_strides[du] * idx[du];
-        idx[du] = 0;
+  const int64_t sa = w.stride[0][0];
+  const int64_t sb = w.stride[1][0];
+  const int64_t n = out.num_elements();
+  auto run = [&w, n](const auto& row) { walk_all(w, kCheapGrain, n, row); };
+  if (sa == 1 && sb == 1) {
+    run([=](int64_t o, const int64_t* off, int64_t len) {
+      const Fa* x = pa + off[0];
+      const Fa* y = pb + off[1];
+      for (int64_t i = 0; i < len; ++i) po[o + i] = fn(x[i], y[i]);
+    });
+  } else if (sa == 1 && sb == 0) {
+    run([=](int64_t o, const int64_t* off, int64_t len) {
+      const Fa* x = pa + off[0];
+      const Fa y = pb[off[1]];
+      for (int64_t i = 0; i < len; ++i) po[o + i] = fn(x[i], y);
+    });
+  } else if (sa == 0 && sb == 1) {
+    run([=](int64_t o, const int64_t* off, int64_t len) {
+      const Fa x = pa[off[0]];
+      const Fa* y = pb + off[1];
+      for (int64_t i = 0; i < len; ++i) po[o + i] = fn(x, y[i]);
+    });
+  } else {
+    run([=](int64_t o, const int64_t* off, int64_t len) {
+      for (int64_t i = 0; i < len; ++i) {
+        po[o + i] = fn(pa[off[0] + i * sa], pb[off[1] + i * sb]);
       }
-    }
-  });
+    });
+  }
   return out;
 }
 
@@ -148,10 +231,10 @@ Tensor binary_numeric(const Tensor& a, const Tensor& b, Fn fn,
                                          << dtype_name(a.dtype()) << " vs "
                                          << dtype_name(b.dtype()));
   if (a.dtype() == DType::kFloat32) {
-    return binary_broadcast<float, float>(a, b, DType::kFloat32, fn);
+    return binary_broadcast<float, float>(a, b, DType::kFloat32, fn, op);
   }
   if (a.dtype() == DType::kInt32) {
-    return binary_broadcast<int32_t, int32_t>(a, b, DType::kInt32, fn);
+    return binary_broadcast<int32_t, int32_t>(a, b, DType::kInt32, fn, op);
   }
   throw ValueError(std::string(op) + ": unsupported dtype " +
                    dtype_name(a.dtype()));
@@ -161,10 +244,10 @@ template <typename Fn>
 Tensor compare(const Tensor& a, const Tensor& b, Fn fn, const char* op) {
   RLG_REQUIRE(a.dtype() == b.dtype(), op << ": dtype mismatch");
   if (a.dtype() == DType::kFloat32) {
-    return binary_broadcast<float, uint8_t>(a, b, DType::kBool, fn);
+    return binary_broadcast<float, uint8_t>(a, b, DType::kBool, fn, op);
   }
   if (a.dtype() == DType::kInt32) {
-    return binary_broadcast<int32_t, uint8_t>(a, b, DType::kBool, fn);
+    return binary_broadcast<int32_t, uint8_t>(a, b, DType::kBool, fn, op);
   }
   throw ValueError(std::string(op) + ": unsupported dtype");
 }
@@ -180,6 +263,23 @@ Tensor unary_float(const Tensor& a, Fn fn, const char* op) {
                 for (int64_t i = begin; i < end; ++i) po[i] = fn(pa[i]);
               });
   return out;
+}
+
+// out[o + i] = c[i] ? a[o + i] : b[o + i] for elements of T's size, as a
+// mask select on the element bits: no branch, and fixed-size copies the
+// compiler turns into plain loads and stores.
+template <typename T>
+void select_bits(const uint8_t* c, const uint8_t* a, const uint8_t* b,
+                 uint8_t* out, int64_t o, int64_t len) {
+  for (int64_t i = 0; i < len; ++i) {
+    size_t at = static_cast<size_t>(o + i) * sizeof(T);
+    T x, y;
+    std::memcpy(&x, a + at, sizeof x);
+    std::memcpy(&y, b + at, sizeof y);
+    T m = static_cast<T>(T{0} - T{c[i] != 0});
+    T z = static_cast<T>((x & m) | (y & static_cast<T>(~m)));
+    std::memcpy(out + at, &z, sizeof z);
+  }
 }
 
 }  // namespace
@@ -231,7 +331,8 @@ Tensor logical_and(const Tensor& a, const Tensor& b) {
   check_dtype(b, DType::kBool, "logical_and");
   return binary_broadcast<uint8_t, uint8_t>(
       a, b, DType::kBool,
-      [](uint8_t x, uint8_t y) -> uint8_t { return (x && y) ? 1 : 0; });
+      [](uint8_t x, uint8_t y) -> uint8_t { return (x && y) ? 1 : 0; },
+      "logical_and");
 }
 
 Tensor logical_or(const Tensor& a, const Tensor& b) {
@@ -239,7 +340,8 @@ Tensor logical_or(const Tensor& a, const Tensor& b) {
   check_dtype(b, DType::kBool, "logical_or");
   return binary_broadcast<uint8_t, uint8_t>(
       a, b, DType::kBool,
-      [](uint8_t x, uint8_t y) -> uint8_t { return (x || y) ? 1 : 0; });
+      [](uint8_t x, uint8_t y) -> uint8_t { return (x || y) ? 1 : 0; },
+      "logical_or");
 }
 
 Tensor logical_not(const Tensor& a) {
@@ -301,30 +403,47 @@ Tensor where(const Tensor& cond, const Tensor& a, const Tensor& b) {
   check_dtype(cond, DType::kBool, "where");
   check_same_shape(a, b, "where");
   RLG_REQUIRE(a.dtype() == b.dtype(), "where: branch dtype mismatch");
-  // Broadcast cond against value shape: cond either matches exactly or
-  // matches the leading dimensions of a (per-row select).
-  Tensor out(a.dtype(), a.shape());
-  const uint8_t* pc = cond.data<uint8_t>();
-  int64_t n = a.num_elements();
-  int64_t cn = cond.num_elements();
-  RLG_REQUIRE(cn > 0 && n % cn == 0,
+  RLG_REQUIRE(is_leading_prefix(cond.shape(), a.shape()),
               "where: cond shape " << cond.shape().to_string()
-                                   << " incompatible with "
+                                   << " must equal or be a leading prefix of "
                                    << a.shape().to_string());
-  int64_t inner = n / cn;
-  size_t esize = dtype_size(a.dtype());
+  Tensor out(a.dtype(), a.shape());
+  int64_t n = a.num_elements();
+  if (n == 0) return out;
+  // cond broadcasts over the values' trailing dims, so its innermost
+  // coalesced stride is 0 (one cond per row: copy the row) or 1 (one per
+  // element: select bits).
+  const WalkOperand in[1] = {{&cond.shape(), a.shape().rank() -
+                                                 cond.shape().rank()}};
+  const Walk<1> w = coalesce<1>("where", a.shape(), in, 1);
+  const uint8_t* pc = cond.data<uint8_t>();
   const auto* pa = static_cast<const uint8_t*>(a.raw());
   const auto* pb = static_cast<const uint8_t*>(b.raw());
   auto* po = static_cast<uint8_t*>(out.mutable_raw());
-  shard_range(rows_grain(inner), cn,
-              [pc, pa, pb, po, inner, esize](int64_t c0, int64_t c1) {
-                for (int64_t c = c0; c < c1; ++c) {
-                  const uint8_t* src = pc[c] ? pa : pb;
-                  std::memcpy(po + static_cast<size_t>(c * inner) * esize,
-                              src + static_cast<size_t>(c * inner) * esize,
-                              static_cast<size_t>(inner) * esize);
-                }
-              });
+  size_t esize = dtype_size(a.dtype());
+  int64_t cn = cond.num_elements();
+  int64_t inner = n / cn;
+  auto rows = [&](const auto& row) {
+    shard_range(rows_grain(inner), cn, [&](int64_t c0, int64_t c1) {
+      walk(w, c0 * inner, c1 * inner, row);
+    });
+  };
+  if (w.stride[0][0] == 0) {
+    rows([=](int64_t o, const int64_t* off, int64_t len) {
+      const uint8_t* src = pc[off[0]] ? pa : pb;
+      std::memcpy(po + static_cast<size_t>(o) * esize,
+                  src + static_cast<size_t>(o) * esize,
+                  static_cast<size_t>(len) * esize);
+    });
+  } else if (esize == 4) {
+    rows([=](int64_t o, const int64_t* off, int64_t len) {
+      select_bits<uint32_t>(pc + off[0], pa, pb, po, o, len);
+    });
+  } else {
+    rows([=](int64_t o, const int64_t* off, int64_t len) {
+      select_bits<uint8_t>(pc + off[0], pa, pb, po, o, len);
+    });
+  }
   return out;
 }
 
@@ -1442,7 +1561,11 @@ struct CompiledLink {
   float (*bin)(float, float) = nullptr;
   bool chain_left = true;
   int extra = -1;
+  int read = -1;  // slot of `extra` in its segment's walk
 };
+
+// Extras one walk of fused_elementwise reads.
+constexpr int kMaxFusedReads = 4;
 
 CompiledLink compile_link(const EwiseLink& link, size_t num_extras) {
   CompiledLink c;
@@ -1494,72 +1617,65 @@ Tensor fused_elementwise(const Tensor& x, const std::vector<Tensor>& extras,
   steps.reserve(links.size());
   for (const EwiseLink& l : links) steps.push_back(compile_link(l, extras.size()));
   const Shape& oshape = x.shape();
-  int rank = oshape.rank();
-  int64_t n = oshape.num_elements();
-  // Per-extra broadcast strides against the chain (= output) shape, stride 0
-  // on broadcast dimensions — the same cursor scheme as binary_broadcast, so
-  // each extra element pairs with the same chain element as in the unfused
-  // broadcast op.
-  std::vector<std::vector<int64_t>> estrides(extras.size());
-  for (size_t e = 0; e < extras.size(); ++e) {
-    const Shape& es = extras[e].shape();
-    RLG_REQUIRE(es.rank() <= rank,
-                "fused_elementwise: extra " << es.to_string()
-                                            << " does not broadcast into "
-                                            << oshape.to_string());
-    auto cs = contiguous_strides(es);
-    estrides[e].assign(static_cast<size_t>(rank), 0);
-    for (int i = 0; i < rank; ++i) {
-      int ei = es.rank() - rank + i;
-      if (ei >= 0 && es.dim(ei) != 1) {
-        RLG_REQUIRE(es.dim(ei) == oshape.dim(i),
-                    "fused_elementwise: extra " << es.to_string()
-                                                << " does not broadcast into "
-                                                << oshape.to_string());
-        estrides[e][static_cast<size_t>(i)] = cs[static_cast<size_t>(ei)];
-      }
+  for (const Tensor& e : extras) {
+    const Shape& es = e.shape();
+    bool fits = es.rank() <= oshape.rank();
+    for (int i = 0; fits && i < es.rank(); ++i) {
+      int64_t d = es.dim(i);
+      fits = d == 1 || d == oshape.dim(oshape.rank() - es.rank() + i);
     }
+    RLG_REQUIRE(fits, "fused_elementwise: extra " << es.to_string()
+                                                  << " does not broadcast into "
+                                                  << oshape.to_string());
   }
   Tensor out(DType::kFloat32, oshape);
-  const float* px = x.data<float>();
-  std::vector<const float*> pext(extras.size());
-  for (size_t e = 0; e < extras.size(); ++e) pext[e] = extras[e].data<float>();
   float* po = out.mutable_data<float>();
-  size_t ne = extras.size();
-  shard_range(kMathGrain, n, [&](int64_t begin, int64_t end) {
-    // Seed the odometer and every extra's strided cursor from the shard's
-    // first flat index, then walk exactly like the serial loop.
-    std::vector<int64_t> idx(static_cast<size_t>(rank), 0);
-    std::vector<int64_t> cursor(ne, 0);
-    int64_t rem = begin;
-    for (int d = rank - 1; d >= 0; --d) {
-      auto du = static_cast<size_t>(d);
-      idx[du] = rem % oshape.dim(d);
-      rem /= oshape.dim(d);
-      for (size_t e = 0; e < ne; ++e) cursor[e] += idx[du] * estrides[e][du];
+  int64_t n = oshape.num_elements();
+  // The links run in segments that each read at most kMaxFusedReads extras
+  // through one coalesced walk (each extra element pairs with the same chain
+  // element as in the unfused broadcast op). A longer chain carries the
+  // running value through the output between segments: every element still
+  // sees the same ops in the same order.
+  const float* src = x.data<float>();
+  size_t first = 0;
+  do {
+    WalkOperand in[kMaxFusedReads];
+    const float* pext[kMaxFusedReads];
+    int reads = 0;
+    size_t last = first;
+    for (; last < steps.size(); ++last) {
+      CompiledLink& s = steps[last];
+      if (s.un) continue;
+      if (reads == kMaxFusedReads) break;
+      const Tensor& e = extras[static_cast<size_t>(s.extra)];
+      s.read = reads;
+      in[reads] = {&e.shape()};
+      pext[reads++] = e.data<float>();
     }
-    for (int64_t flat = begin; flat < end; ++flat) {
-      float v = px[flat];
-      for (const CompiledLink& s : steps) {
-        if (s.un) {
-          v = s.un(v);
-        } else {
-          float o = pext[static_cast<size_t>(s.extra)]
-                        [cursor[static_cast<size_t>(s.extra)]];
-          v = s.chain_left ? s.bin(v, o) : s.bin(o, v);
-        }
-      }
-      po[flat] = v;
-      for (int d = rank - 1; d >= 0; --d) {
-        auto du = static_cast<size_t>(d);
-        ++idx[du];
-        for (size_t e = 0; e < ne; ++e) cursor[e] += estrides[e][du];
-        if (idx[du] < oshape.dim(d)) break;
-        for (size_t e = 0; e < ne; ++e) cursor[e] -= estrides[e][du] * idx[du];
-        idx[du] = 0;
-      }
-    }
-  });
+    const Walk<kMaxFusedReads> w =
+        coalesce<kMaxFusedReads>("fused_elementwise", oshape, in, reads);
+    const CompiledLink* seg = steps.data() + first;
+    const size_t seg_len = last - first;
+    walk_all(w, kMathGrain, n,
+             [&](int64_t o, const int64_t* off, int64_t len) {
+               for (int64_t i = 0; i < len; ++i) {
+                 float v = src[o + i];
+                 for (size_t k = 0; k < seg_len; ++k) {
+                   const CompiledLink& s = seg[k];
+                   if (s.un) {
+                     v = s.un(v);
+                   } else {
+                     float e = pext[s.read][off[s.read] +
+                                            i * w.stride[s.read][0]];
+                     v = s.chain_left ? s.bin(v, e) : s.bin(e, v);
+                   }
+                 }
+                 po[o + i] = v;
+               }
+             });
+    src = po;
+    first = last;
+  } while (first < steps.size());
   return out;
 }
 

@@ -1,7 +1,8 @@
 // Numeric kernels backing the op set of both backends.
 //
 // Kernels are pure functions Tensor(s) -> Tensor. Elementwise binary kernels
-// support full numpy-style broadcasting; sum_to_shape provides the reverse
+// support numpy-style broadcasting (at most 8 dims once size-1 dims are
+// dropped and contiguous ones merged); sum_to_shape provides the reverse
 // reduction used by gradient rules. Convolution is NHWC with explicit
 // forward and backward kernels.
 #pragma once
@@ -46,7 +47,9 @@ Tensor tanh(const Tensor& a);
 Tensor softplus(const Tensor& a);
 Tensor clip(const Tensor& a, double lo, double hi);
 
-// where(cond: bool, a, b) with broadcasting of cond against a/b.
+// where(cond: bool, a, b): a and b have the same shape and dtype; cond's
+// shape equals theirs (per-element select) or is a leading prefix of it
+// (one cond per row of the trailing dims). Anything else is a ValueError.
 Tensor where(const Tensor& cond, const Tensor& a, const Tensor& b);
 
 // --- Linear algebra ---------------------------------------------------------

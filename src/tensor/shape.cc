@@ -109,4 +109,14 @@ Shape broadcast_shapes(const Shape& a, const Shape& b) {
   return Shape(std::move(out));
 }
 
+bool is_leading_prefix(const Shape& prefix, const Shape& shape) {
+  if (prefix.rank() > shape.rank()) return false;
+  for (int i = 0; i < prefix.rank(); ++i) {
+    int64_t p = prefix.dim(i);
+    int64_t s = shape.dim(i);
+    if (p != s && p != kUnknownDim && s != kUnknownDim) return false;
+  }
+  return true;
+}
+
 }  // namespace rlgraph

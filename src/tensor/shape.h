@@ -58,4 +58,8 @@ class Shape {
 // "same rank, or one side has size-1/missing leading dims").
 Shape broadcast_shapes(const Shape& a, const Shape& b);
 
+// True if `prefix` has at most `shape`'s rank and its dims equal `shape`'s
+// leading dims; an unknown dim on either side matches any dim.
+bool is_leading_prefix(const Shape& prefix, const Shape& shape);
+
 }  // namespace rlgraph

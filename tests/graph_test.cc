@@ -28,6 +28,21 @@ TEST_F(SessionTest, EvaluatesConstants) {
   EXPECT_FLOAT_EQ(out[0].scalar_value(), 5.0f);
 }
 
+// Where's shape function holds cond to the kernel's contract: equal to the
+// value shape or a leading prefix of it (unknown dims match anything).
+TEST_F(SessionTest, WhereCondMustBeLeadingPrefix) {
+  OpRef a = ctx_.placeholder("a", DType::kFloat32, Shape{2, 7});
+  OpRef v = ctx_.placeholder("v", DType::kFloat32, Shape{1, 2});
+  OpRef c7 = ctx_.placeholder("c7", DType::kBool, Shape{7});
+  OpRef c21 = ctx_.placeholder("c21", DType::kBool, Shape{2, 1});
+  EXPECT_THROW(ctx_.where(c7, a, a), ValueError);
+  EXPECT_THROW(ctx_.where(c21, v, v), ValueError);
+  OpRef rows = ctx_.placeholder("rows", DType::kBool, Shape{kUnknownDim});
+  OpRef vals = ctx_.placeholder("vals", DType::kFloat32, Shape{kUnknownDim, 3});
+  EXPECT_NO_THROW(ctx_.where(rows, vals, vals));
+  EXPECT_NO_THROW(ctx_.where(ctx_.greater(a, a), a, a));
+}
+
 TEST_F(SessionTest, FeedsPlaceholders) {
   OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{kUnknownDim, 2});
   OpRef y = ctx_.mul(x, ctx_.scalar(3.0f));

@@ -8,6 +8,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <type_traits>
 
 #include "tensor/kernels.h"
 #include "util/thread_pool.h"
@@ -645,6 +646,449 @@ TEST(KernelsTest, ConvBackpropRejectsMismatchedGradOut) {
   Tensor good = Tensor::zeros(DType::kFloat32, Shape{2, 4, 4, 4});
   EXPECT_NO_THROW(kernels::conv2d_backprop_input(in_shape, f, good, 1, false));
   EXPECT_NO_THROW(kernels::conv2d_backprop_filter(in, f_shape, good, 1, false));
+}
+
+// --- bitwise broadcast ------------------------------------------------------
+//
+// Every elementwise kernel promises that each output element is fn(a[i],
+// b[j]) on the pair a per-element broadcast loop picks, with the same scalar
+// op. These references are that loop: an odometer over the output dims with
+// per-operand strides (0 on broadcast dims), run serially. The kernels must
+// match them byte for byte at every thread count.
+
+// Per-dim strides of `s` against an output of rank `rank`, right-aligned
+// after `trailing_ones` size-1 dims are appended to s; 0 where s is 1.
+std::vector<int64_t> ref_strides(const Shape& s, int rank,
+                                 int trailing_ones = 0) {
+  std::vector<int64_t> st(static_cast<size_t>(rank), 0);
+  int64_t acc = 1;
+  for (int i = s.rank() - 1; i >= 0; --i) {
+    int oi = rank - trailing_ones - s.rank() + i;
+    if (s.dim(i) != 1) st[static_cast<size_t>(oi)] = acc;
+    acc *= s.dim(i);
+  }
+  return st;
+}
+
+// Calls visit(flat, offsets) for every output element in flat order, where
+// offsets[j] indexes operand j.
+template <typename Visit>
+void ref_odometer(const Shape& out,
+                  const std::vector<std::vector<int64_t>>& strides,
+                  Visit visit) {
+  int rank = out.rank();
+  std::vector<int64_t> idx(static_cast<size_t>(rank), 0);
+  std::vector<int64_t> off(strides.size(), 0);
+  for (int64_t flat = 0; flat < out.num_elements(); ++flat) {
+    visit(flat, off);
+    for (int d = rank - 1; d >= 0; --d) {
+      auto du = static_cast<size_t>(d);
+      ++idx[du];
+      for (size_t j = 0; j < off.size(); ++j) off[j] += strides[j][du];
+      if (idx[du] < out.dim(d)) break;
+      for (size_t j = 0; j < off.size(); ++j) {
+        off[j] -= strides[j][du] * idx[du];
+      }
+      idx[du] = 0;
+    }
+  }
+}
+
+template <typename T, typename Out, typename Fn>
+Tensor ref_broadcast(const Tensor& a, const Tensor& b, DType out_dtype,
+                     Fn fn) {
+  Shape shape = broadcast_shapes(a.shape(), b.shape());
+  Tensor out(out_dtype, shape);
+  const T* pa = a.data<T>();
+  const T* pb = b.data<T>();
+  Out* po = out.mutable_data<Out>();
+  ref_odometer(shape,
+               {ref_strides(a.shape(), shape.rank()),
+                ref_strides(b.shape(), shape.rank())},
+               [&](int64_t flat, const std::vector<int64_t>& off) {
+                 po[flat] = fn(pa[off[0]], pb[off[1]]);
+               });
+  return out;
+}
+
+// tricky() plus NaNs with distinct payloads of both signs and infinities.
+Tensor tricky_nan(const Shape& shape, uint64_t seed) {
+  Tensor t = tricky(shape, seed);
+  float* p = t.mutable_data<float>();
+  for (int64_t i = 0; i < t.num_elements(); ++i) {
+    uint32_t bits;
+    switch ((i * 7 + static_cast<int64_t>(seed)) % 11) {
+      case 0: bits = 0x7fc00000u | static_cast<uint32_t>(i & 0xffff); break;
+      case 1: bits = 0xffc00000u | static_cast<uint32_t>((i * 31) & 0xffff);
+        break;
+      case 2: bits = i % 2 ? 0x7f800000u : 0xff800000u; break;
+      default: continue;
+    }
+    std::memcpy(&p[i], &bits, sizeof bits);
+  }
+  return t;
+}
+
+// Nonzero ints (so every int32 div is defined) of both signs.
+Tensor nonzero_ints(const Shape& shape, uint64_t seed) {
+  std::mt19937 gen(static_cast<uint32_t>(seed));
+  std::uniform_int_distribution<int32_t> dist(-40, 40);
+  Tensor t(DType::kInt32, shape);
+  int32_t* p = t.mutable_data<int32_t>();
+  for (int64_t i = 0; i < t.num_elements(); ++i) {
+    int32_t v = dist(gen);
+    p[i] = v == 0 ? 7 : v;
+  }
+  return t;
+}
+
+Tensor random_bools(const Shape& shape, uint64_t seed) {
+  std::mt19937 gen(static_cast<uint32_t>(seed));
+  Tensor t(DType::kBool, shape);
+  uint8_t* p = t.mutable_data<uint8_t>();
+  for (int64_t i = 0; i < t.num_elements(); ++i) p[i] = gen() % 2;
+  return t;
+}
+
+uint32_t float_bits(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+// Byte equality with one exception for the commutative float ops: C++
+// lets the compiler swap the operands of + and *, and when both are NaN
+// the operand order decides which payload propagates (IEEE 754 leaves that
+// choice open). There the result must be one of the two NaNs, quieted.
+template <typename T, typename Fn>
+void expect_commutative(const Tensor& got, const Tensor& a, const Tensor& b,
+                        Fn fn, const std::string& what) {
+  Tensor want = ref_broadcast<T, T>(a, b, a.dtype(), fn);
+  if constexpr (!std::is_same_v<T, float>) {
+    expect_bitwise(got, want, what);
+  } else {
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    Tensor left = ref_broadcast<float, float>(a, b, DType::kFloat32,
+                                              [](float x, float) { return x; });
+    Tensor right = ref_broadcast<float, float>(
+        a, b, DType::kFloat32, [](float, float y) { return y; });
+    for (int64_t i = 0; i < got.num_elements(); ++i) {
+      uint32_t g = float_bits(got.data<float>()[i]);
+      if (g == float_bits(want.data<float>()[i])) continue;
+      float l = left.data<float>()[i];
+      float r = right.data<float>()[i];
+      constexpr uint32_t kQuiet = 0x00400000u;
+      bool nan_pair = std::isnan(l) && std::isnan(r) &&
+                      (g == (float_bits(l) | kQuiet) ||
+                       g == (float_bits(r) | kQuiet));
+      EXPECT_TRUE(nan_pair) << what << " element " << i << ": got 0x"
+                            << std::hex << g << ", want 0x"
+                            << float_bits(want.data<float>()[i]);
+    }
+  }
+}
+
+template <typename T>
+void check_numeric_bitwise(const Tensor& a, const Tensor& b,
+                           const std::string& what) {
+  DType dt = a.dtype();
+  expect_commutative<T>(kernels::add(a, b), a, b,
+                        [](T x, T y) { return x + y; }, "add " + what);
+  expect_bitwise(kernels::sub(a, b),
+                 ref_broadcast<T, T>(a, b, dt, [](T x, T y) { return x - y; }),
+                 "sub " + what);
+  expect_commutative<T>(kernels::mul(a, b), a, b,
+                        [](T x, T y) { return x * y; }, "mul " + what);
+  expect_bitwise(kernels::div(a, b),
+                 ref_broadcast<T, T>(a, b, dt, [](T x, T y) { return x / y; }),
+                 "div " + what);
+  expect_bitwise(
+      kernels::minimum(a, b),
+      ref_broadcast<T, T>(a, b, dt, [](T x, T y) { return x < y ? x : y; }),
+      "minimum " + what);
+  expect_bitwise(
+      kernels::maximum(a, b),
+      ref_broadcast<T, T>(a, b, dt, [](T x, T y) { return x > y ? x : y; }),
+      "maximum " + what);
+  auto cmp = [&](Tensor got, auto fn, const char* name) {
+    expect_bitwise(got, ref_broadcast<T, uint8_t>(a, b, DType::kBool, fn),
+                   name + (" " + what));
+  };
+  cmp(kernels::equal(a, b),
+      [](T x, T y) -> uint8_t { return x == y ? 1 : 0; }, "equal");
+  cmp(kernels::greater(a, b),
+      [](T x, T y) -> uint8_t { return x > y ? 1 : 0; }, "greater");
+  cmp(kernels::less(a, b),
+      [](T x, T y) -> uint8_t { return x < y ? 1 : 0; }, "less");
+}
+
+void check_logical_bitwise(const Tensor& a, const Tensor& b,
+                           const std::string& what) {
+  expect_bitwise(kernels::logical_and(a, b),
+                 ref_broadcast<uint8_t, uint8_t>(
+                     a, b, DType::kBool,
+                     [](uint8_t x, uint8_t y) -> uint8_t {
+                       return (x && y) ? 1 : 0;
+                     }),
+                 "logical_and " + what);
+  expect_bitwise(kernels::logical_or(a, b),
+                 ref_broadcast<uint8_t, uint8_t>(
+                     a, b, DType::kBool,
+                     [](uint8_t x, uint8_t y) -> uint8_t {
+                       return (x || y) ? 1 : 0;
+                     }),
+                 "logical_or " + what);
+}
+
+// Every binary kernel on one pair of operand shapes, both ways round.
+void check_binary_bitwise(const Shape& sa, const Shape& sb, uint64_t seed) {
+  for (int flip = 0; flip < 2; ++flip) {
+    const Shape& l = flip ? sb : sa;
+    const Shape& r = flip ? sa : sb;
+    std::string what = l.to_string() + " op " + r.to_string();
+    check_numeric_bitwise<float>(tricky_nan(l, seed), tricky_nan(r, seed + 1),
+                                 what);
+    check_numeric_bitwise<int32_t>(nonzero_ints(l, seed + 2),
+                                   nonzero_ints(r, seed + 3), what);
+    check_logical_bitwise(random_bools(l, seed + 4),
+                          random_bools(r, seed + 5), what);
+  }
+}
+
+// Serial, then 2- and 4-thread pools; restores the pool size it found.
+template <typename Body>
+void at_thread_counts(Body body) {
+  size_t before = global_parallelism();
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    set_global_parallelism(threads);
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    body();
+  }
+  set_global_parallelism(before);
+}
+
+TEST(KernelsBitwiseTest, BroadcastBinaryOps) {
+  const std::pair<Shape, Shape> cases[] = {
+      {Shape{4, 5}, Shape{}},               // scalar (and flipped: on the left)
+      {Shape{}, Shape{}},                   // rank-0 output
+      {Shape{1}, Shape{}},                  // all size-1 dims
+      {Shape{6, 7}, Shape{6, 7}},           // same shape
+      {Shape{4, 1, 3}, Shape{1, 5, 1}},     // middle-dim broadcast, both sides
+      {Shape{2, 1, 4, 1}, Shape{3, 1, 5}},  // both sides, rank mismatch
+      {Shape{3, 1, 6}, Shape{1, 4, 6}},     // both sides, shared inner row
+      {Shape{5, 1}, Shape{5, 9}},           // column
+      {Shape{0, 4}, Shape{4}},              // zero-size dims
+      {Shape{3, 0, 2}, Shape{1, 1, 2}},
+      {Shape{0}, Shape{}},
+      // Eight coalesced dims: the most the walk takes.
+      {Shape{2, 1, 2, 1, 2, 1, 2, 1}, Shape{1, 3, 1, 3, 1, 3, 1, 3}},
+      // Above kCheapGrain (16384): two shards of 18482, the boundary 19
+      // elements into a 37-element row.
+      {Shape{999, 37}, Shape{37}},
+      {Shape{999, 1, 37}, Shape{1, 2, 37}},
+      {Shape{40000}, Shape{}},
+  };
+  std::vector<Shape> bias_shapes;
+  for (int64_t c : {1, 3, 4, 5, 8, 32}) {
+    bias_shapes.push_back(Shape{4, 7, 7, c});
+    bias_shapes.push_back(Shape{c});
+    bias_shapes.push_back(Shape{3, c});
+    bias_shapes.push_back(Shape{c});
+  }
+  at_thread_counts([&] {
+    uint64_t seed = 1000;
+    for (const auto& [a, b] : cases) check_binary_bitwise(a, b, seed += 10);
+    for (size_t i = 0; i < bias_shapes.size(); i += 2) {
+      check_binary_bitwise(bias_shapes[i], bias_shapes[i + 1], seed += 10);
+    }
+  });
+}
+
+// Reference where: per-element pick of a's or b's element bits by the cond
+// element covering it (cond is a leading prefix of the value shape).
+Tensor ref_where(const Tensor& cond, const Tensor& a, const Tensor& b) {
+  Tensor out(a.dtype(), a.shape());
+  size_t esize = dtype_size(a.dtype());
+  int64_t inner = a.num_elements() / std::max<int64_t>(1, cond.num_elements());
+  const uint8_t* pc = cond.data<uint8_t>();
+  for (int64_t i = 0; i < a.num_elements(); ++i) {
+    const Tensor& src = pc[i / inner] ? a : b;
+    std::memcpy(static_cast<uint8_t*>(out.mutable_raw()) + i * esize,
+                static_cast<const uint8_t*>(src.raw()) + i * esize, esize);
+  }
+  return out;
+}
+
+TEST(KernelsBitwiseTest, WherePerElementAndPerRow) {
+  const std::pair<Shape, Shape> cases[] = {
+      {Shape{32, 7, 7, 4}, Shape{32, 7, 7, 4}},  // per element
+      {Shape{5}, Shape{5}},
+      {Shape{}, Shape{}},
+      {Shape{3, 4}, Shape{3, 4, 1}},  // per element, trailing size-1 dim
+      {Shape{32}, Shape{32, 7, 7, 4}},  // per row
+      {Shape{6, 2}, Shape{6, 2, 9}},
+      {Shape{}, Shape{4, 5}},           // one cond for everything
+      {Shape{0}, Shape{0, 3}},          // zero-size
+      {Shape{300, 200}, Shape{300, 200}},  // above the row grain
+      {Shape{70000}, Shape{70000, 2}},
+  };
+  at_thread_counts([&] {
+    uint64_t seed = 2000;
+    for (const auto& [cs, vs] : cases) {
+      std::string what = cs.to_string() + " over " + vs.to_string();
+      Tensor cond = random_bools(cs, seed += 10);
+      Tensor fa = tricky_nan(vs, seed + 1), fb = tricky_nan(vs, seed + 2);
+      expect_bitwise(kernels::where(cond, fa, fb), ref_where(cond, fa, fb),
+                     "where float32 " + what);
+      Tensor ia = nonzero_ints(vs, seed + 3), ib = nonzero_ints(vs, seed + 4);
+      expect_bitwise(kernels::where(cond, ia, ib), ref_where(cond, ia, ib),
+                     "where int32 " + what);
+      Tensor ba = random_bools(vs, seed + 5), bb = random_bools(vs, seed + 6);
+      expect_bitwise(kernels::where(cond, ba, bb), ref_where(cond, ba, bb),
+                     "where bool " + what);
+    }
+  });
+}
+
+// The op lambdas fused_elementwise's links stand for.
+float ref_unary(const std::string& op, float x) {
+  if (op == "Relu") return x > 0.0f ? x : 0.0f;
+  if (op == "Tanh") return std::tanh(x);
+  if (op == "Neg") return -x;
+  if (op == "Square") return x * x;
+  ADD_FAILURE() << "no reference for " << op;
+  return x;
+}
+
+float ref_binary(const std::string& op, float x, float y) {
+  if (op == "Add") return x + y;
+  if (op == "Sub") return x - y;
+  if (op == "Mul") return x * y;
+  if (op == "Div") return x / y;
+  if (op == "Minimum") return x < y ? x : y;
+  if (op == "Maximum") return x > y ? x : y;
+  ADD_FAILURE() << "no reference for " << op;
+  return x;
+}
+
+Tensor ref_fused(const Tensor& x, const std::vector<Tensor>& extras,
+                 const std::vector<kernels::EwiseLink>& links) {
+  const Shape& shape = x.shape();
+  std::vector<std::vector<int64_t>> strides;
+  for (const Tensor& e : extras) {
+    strides.push_back(ref_strides(e.shape(), shape.rank()));
+  }
+  Tensor out(DType::kFloat32, shape);
+  float* po = out.mutable_data<float>();
+  ref_odometer(shape, strides,
+               [&](int64_t flat, const std::vector<int64_t>& off) {
+                 float v = x.data<float>()[flat];
+                 for (const kernels::EwiseLink& l : links) {
+                   if (!l.binary) {
+                     v = ref_unary(l.op, v);
+                     continue;
+                   }
+                   auto e = static_cast<size_t>(l.extra);
+                   float o = extras[e].data<float>()[off[e]];
+                   v = l.chain_left ? ref_binary(l.op, v, o)
+                                    : ref_binary(l.op, o, v);
+                 }
+                 po[flat] = v;
+               });
+  return out;
+}
+
+TEST(KernelsBitwiseTest, FusedElementwiseChains) {
+  using L = kernels::EwiseLink;
+  auto bin = [](const char* op, bool left, int extra) {
+    return L{op, true, left, extra};
+  };
+  auto un = [](const char* op) { return L{op, false, true, -1}; };
+  struct Case {
+    Shape x;
+    std::vector<Shape> extras;
+    std::vector<L> links;
+  };
+  const std::vector<Case> cases = {
+      // conv bias + relu
+      {Shape{4, 7, 7, 4}, {Shape{4}}, {bin("Add", true, 0), un("Relu")}},
+      {Shape{4, 32}, {Shape{32}, Shape{}},
+       {bin("Add", true, 0), un("Relu"), bin("Mul", false, 1)}},
+      {Shape{4, 1, 3}, {Shape{4, 1, 1}, Shape{1, 1, 3}, Shape{}},
+       {bin("Sub", false, 0), un("Tanh"), bin("Maximum", true, 1),
+        bin("Div", true, 2)}},
+      {Shape{2, 5, 3}, {Shape{5, 1}, Shape{2, 1, 3}, Shape{3}},
+       {un("Square"), bin("Minimum", false, 0), bin("Mul", true, 1),
+        un("Neg"), bin("Add", false, 2)}},
+      // More extras than one walk reads: the chain runs in segments.
+      {Shape{6, 8}, {Shape{8}, Shape{6, 1}, Shape{}, Shape{6, 8}, Shape{8},
+                     Shape{1, 1}},
+       {bin("Add", true, 0), bin("Mul", true, 1), un("Relu"),
+        bin("Sub", false, 2), bin("Maximum", true, 3), bin("Div", true, 4),
+        un("Tanh"), bin("Add", false, 5)}},
+      {Shape{3, 3}, {}, {}},       // no links: a copy
+      {Shape{}, {Shape{}}, {bin("Mul", true, 0)}},
+      {Shape{0, 4}, {Shape{4}}, {bin("Add", true, 0)}},
+      // Above kMathGrain (4096): shard boundaries fall mid-row.
+      {Shape{333, 37}, {Shape{37}, Shape{333, 1}},
+       {bin("Add", true, 0), un("Relu"), bin("Mul", false, 1)}},
+  };
+  at_thread_counts([&] {
+    uint64_t seed = 3000;
+    for (const Case& c : cases) {
+      Tensor x = tricky_nan(c.x, seed += 10);
+      std::vector<Tensor> extras;
+      for (const Shape& s : c.extras) extras.push_back(tricky_nan(s, ++seed));
+      expect_bitwise(kernels::fused_elementwise(x, extras, c.links),
+                     ref_fused(x, extras, c.links),
+                     "fused_elementwise " + c.x.to_string());
+    }
+  });
+}
+
+// Nine dims that do not coalesce: every adjacent pair switches which side
+// broadcasts. The walk keeps at most eight and says which shapes overflowed.
+TEST(KernelsTest, BroadcastAboveCoalescedRankCapThrows) {
+  Shape a{2, 1, 2, 1, 2, 1, 2, 1, 2};
+  Shape b{1, 2, 1, 2, 1, 2, 1, 2, 1};
+  Tensor ta = Tensor::zeros(DType::kFloat32, a);
+  Tensor tb = Tensor::zeros(DType::kFloat32, b);
+  try {
+    kernels::add(ta, tb);
+    ADD_FAILURE() << "add did not throw";
+  } catch (const ValueError& e) {
+    std::string msg = e.what();
+    EXPECT_NE(msg.find(a.to_string()), std::string::npos) << msg;
+    EXPECT_NE(msg.find(b.to_string()), std::string::npos) << msg;
+  }
+  EXPECT_THROW(kernels::greater(ta, tb), ValueError);
+  Tensor x = Tensor::zeros(DType::kFloat32, Shape{2, 2, 2, 2, 2, 2, 2, 2, 2});
+  const std::vector<kernels::EwiseLink> links = {{"Add", true, true, 0},
+                                                 {"Mul", true, true, 1}};
+  EXPECT_THROW(kernels::fused_elementwise(x, {ta, tb}, links), ValueError);
+}
+
+// cond must equal the value shape or be a leading prefix of it; a cond whose
+// element count merely divides the values' is rejected, naming both shapes.
+TEST(KernelsTest, WhereRequiresLeadingPrefixCond) {
+  Tensor a = Tensor::zeros(DType::kFloat32, Shape{2, 7});
+  Tensor c7 = Tensor::from_bools(Shape{7}, std::vector<bool>(7, true));
+  try {
+    kernels::where(c7, a, a);
+    ADD_FAILURE() << "where(cond[7], a[2,7]) did not throw";
+  } catch (const ValueError& e) {
+    std::string msg = e.what();
+    EXPECT_NE(msg.find(Shape{7}.to_string()), std::string::npos) << msg;
+    EXPECT_NE(msg.find(Shape{2, 7}.to_string()), std::string::npos) << msg;
+  }
+  Tensor v = Tensor::zeros(DType::kFloat32, Shape{1, 2});
+  Tensor c21 = Tensor::from_bools(Shape{2, 1}, {true, false});
+  EXPECT_THROW(kernels::where(c21, v, v), ValueError);
+  Tensor c3 = Tensor::from_bools(Shape{2, 7, 1}, std::vector<bool>(14, true));
+  EXPECT_THROW(kernels::where(c3, a, a), ValueError);  // longer than values
+  EXPECT_NO_THROW(kernels::where(
+      Tensor::from_bools(Shape{2}, {true, false}), a, a));
+  EXPECT_NO_THROW(kernels::where(Tensor::scalar_bool(true), a, a));
 }
 
 TEST(KernelsTest, Reductions) {
