@@ -81,22 +81,23 @@ void DQNAgent::setup_graph() {
 
   // --- root API methods ----------------------------------------------------
 
-  // act(states raw [B, ...]) -> (preprocessed [B, ...], actions [B]).
-  // Preprocessing, forward pass and exploration batch into ONE executor
-  // call — the batching the paper credits for the Ape-X throughput gap.
+  // act(states raw [B, ...]) -> (preprocessed [B, ...], actions [B],
+  // q-values [B, A]); act_greedy returns only the first two. Preprocessing,
+  // forward pass and exploration batch into ONE executor call — the batching
+  // the paper credits for the Ape-X throughput gap. The exploring call's
+  // Q-values are already computed for exploration; fetching them lets the
+  // Ape-X worker reuse them as the online Q(s_{t+n}) of its priorities.
   auto act_fn = [preprocessor, policy, exploration](
                     BuildContext& ctx, const OpRecs& inputs,
                     bool explore) -> OpRecs {
     RLG_REQUIRE(inputs.size() == 1, "act expects (states)");
     OpRec pre = preprocessor->call_api(ctx, "preprocess", inputs)[0];
-    OpRec actions;
     if (explore) {
       OpRec q = policy->call_api(ctx, "get_q_values", {pre})[0];
-      actions = exploration->call_api(ctx, "get_action", {q})[0];
-    } else {
-      actions = policy->call_api(ctx, "get_action", {pre})[0];
+      OpRec actions = exploration->call_api(ctx, "get_action", {q})[0];
+      return OpRecs{pre, actions, q};
     }
-    return OpRecs{pre, actions};
+    return OpRecs{pre, policy->call_api(ctx, "get_action", {pre})[0]};
   };
   root->register_api("act",
                      [act_fn](BuildContext& ctx, const OpRecs& inputs) {
@@ -158,19 +159,20 @@ void DQNAgent::setup_graph() {
         return OpRecs{loss_out[0], opt_out[0], prio[0]};
       });
 
-  // compute_priorities(s, a, r, s2, t) -> |td| per record (worker-side
-  // prioritization, Ape-X).
+  // compute_priorities(s, a, r, s2, t, q_next_online) -> |td| per record
+  // (worker-side prioritization, Ape-X). The online Q(s2) rows come from the
+  // caller (the act calls that saw s2), so the plan runs two forwards.
   root->register_api(
       "compute_priorities",
       [root_raw = root.get(), policy, target_policy, loss](
           BuildContext& ctx, const OpRecs& inputs) -> OpRecs {
-        RLG_REQUIRE(inputs.size() == 5,
-                    "compute_priorities expects (s, a, r, s2, t)");
+        RLG_REQUIRE(inputs.size() == 6,
+                    "compute_priorities expects (s, a, r, s2, t, "
+                    "q_next_online)");
         OpRec q = policy->call_api(ctx, "get_q_values", {inputs[0]})[0];
         OpRec q_next_t =
             target_policy->call_api(ctx, "get_q_values", {inputs[3]})[0];
-        OpRec q_next_o =
-            policy->call_api(ctx, "get_q_values", {inputs[3]})[0];
+        const OpRec& q_next_o = inputs[5];
         OpRec ones = root_raw->graph_fn(
             ctx, "ones",
             [](OpContext& ops, const std::vector<OpRef>& in) {
@@ -248,7 +250,9 @@ void DQNAgent::setup_graph() {
       {"update_batch", {pre_b, action_b, float_b, pre_b, bool_b, float_b}},
       {"sample_batch", {int_scalar}},
       {"update_priorities", {int_b, float_b}},
-      {"compute_priorities", {pre_b, action_b, float_b, pre_b, bool_b}},
+      {"compute_priorities",
+       {pre_b, action_b, float_b, pre_b, bool_b,
+        FloatBox(Shape{policy->num_actions()})->with_batch_rank()}},
       {"sync_target", {}},
       {"memory_size", {}},
   };
@@ -270,10 +274,21 @@ void DQNAgent::on_built() {
 }
 
 Tensor DQNAgent::get_actions(const Tensor& states, bool explore) {
+  // Drop the previous Q-values first: while held they pin their arena block,
+  // and the plan would have to allocate this call's elsewhere.
+  last_q_values_.reset();
   std::vector<Tensor> out =
       executor().execute(explore ? h_act_ : h_act_greedy_, {states});
-  last_preprocessed_ = out[0];
+  last_preprocessed_ = std::move(out[0]);
+  if (explore) last_q_values_ = std::move(out[2]);
   return out[1];
+}
+
+const Tensor& DQNAgent::last_q_values() const {
+  RLG_REQUIRE(last_q_values_.has_value(),
+              "last_q_values: the last get_actions call was greedy (or "
+              "there was none); only an exploring call fetches Q-values");
+  return *last_q_values_;
 }
 
 void DQNAgent::observe(const Tensor& states, const Tensor& actions,
@@ -335,10 +350,19 @@ Tensor DQNAgent::compute_priorities(const Tensor& states,
                                     const Tensor& actions,
                                     const Tensor& rewards,
                                     const Tensor& next_states,
-                                    const Tensor& terminals) {
+                                    const Tensor& terminals,
+                                    const Tensor& next_q_online) {
+  const int64_t records = states.shape().rank() > 0 ? states.shape().dim(0) : 0;
+  if (next_q_online.shape().rank() != 2 ||
+      next_q_online.shape().dim(0) != records) {
+    throw ValueError("compute_priorities: feed 'next_q_online' has shape " +
+                     next_q_online.shape().to_string() + ", expected [" +
+                     std::to_string(records) + ", num_actions] for " +
+                     std::to_string(records) + " records");
+  }
   return executor().execute(
       h_compute_priorities_,
-      {states, actions, rewards, next_states, terminals})[0];
+      {states, actions, rewards, next_states, terminals, next_q_online})[0];
 }
 
 int64_t DQNAgent::memory_size() {

@@ -14,6 +14,8 @@
 //   "update": {"batch_size": 32, "sync_interval": 100, "min_records": 100}
 #pragma once
 
+#include <optional>
+
 #include "agents/agent.h"
 #include "components/memories.h"
 #include "components/policy.h"
@@ -30,6 +32,10 @@ class DQNAgent : public Agent {
   Tensor get_actions(const Tensor& states, bool explore = true) override;
   // Last preprocessed batch (paired with the last get_actions call).
   const Tensor& last_preprocessed() const { return last_preprocessed_; }
+  // Online Q-values [B, A] of the last get_actions call. Only the exploring
+  // plan fetches them: after a greedy call this throws ValueError, so a stale
+  // Q can never be mistaken for the last batch's.
+  const Tensor& last_q_values() const;
 
   void observe(const Tensor& states, const Tensor& actions,
                const Tensor& rewards, const Tensor& next_states,
@@ -45,9 +51,13 @@ class DQNAgent : public Agent {
   double update() override;
 
   // Worker-side TD-error priorities for a batch of transitions.
+  // `next_q_online` [B, A] is the online network's Q(next_states), e.g. the
+  // last_q_values() rows of the act calls that saw next_states; a row count
+  // other than B throws ValueError.
   Tensor compute_priorities(const Tensor& states, const Tensor& actions,
                             const Tensor& rewards, const Tensor& next_states,
-                            const Tensor& terminals);
+                            const Tensor& terminals,
+                            const Tensor& next_q_online);
 
   // --- distributed / multi-device building blocks ---------------------------
   // Learner-style update from an external batch (s, a, r, s2, t, weights);
@@ -83,6 +93,7 @@ class DQNAgent : public Agent {
   int64_t min_records_ = 100;
   int64_t updates_done_ = 0;
   Tensor last_preprocessed_;
+  std::optional<Tensor> last_q_values_;
 
   // Hot-path API handles, resolved once after build.
   ApiHandle h_act_, h_act_greedy_, h_observe_, h_update_, h_update_batch_,

@@ -1,6 +1,7 @@
 #include "execution/apex_executor.h"
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "components/memories.h"
@@ -13,6 +14,31 @@
 namespace rlgraph {
 
 // --- ApexWorker -----------------------------------------------------------------
+
+namespace {
+
+// Copies row `src_row` of `src` into row `dst_row` of `dst`; both have the
+// same dtype and row shape.
+void copy_row(const Tensor& src, int64_t src_row, Tensor* dst,
+              int64_t dst_row) {
+  const int64_t bytes =
+      static_cast<int64_t>(src.byte_size()) / src.shape().dim(0);
+  std::memcpy(static_cast<uint8_t*>(dst->mutable_raw()) + dst_row * bytes,
+              static_cast<const uint8_t*>(src.raw()) + src_row * bytes,
+              static_cast<size_t>(bytes));
+}
+
+void copy_all(const Tensor& src, Tensor* dst) {
+  RLG_CHECK(src.dtype() == dst->dtype() && src.shape() == dst->shape());
+  std::memcpy(dst->mutable_raw(), src.raw(), src.byte_size());
+}
+
+// An empty tensor like `t` with `rows` rows.
+Tensor rows_like(const Tensor& t, int64_t rows) {
+  return Tensor(t.dtype(), t.shape().with_dim(0, rows));
+}
+
+}  // namespace
 
 ApexWorker::ApexWorker(const ApexConfig& config, int worker_index)
     : config_(config) {
@@ -27,7 +53,9 @@ ApexWorker::ApexWorker(const ApexConfig& config, int worker_index)
   env_ = std::make_unique<VectorEnv>(
       config.env_spec, config.envs_per_worker,
       config.seed * 31 + static_cast<uint64_t>(worker_index));
+  ring_.resize(static_cast<size_t>(std::max(config.n_step, 1) + 1));
   nstep_.resize(static_cast<size_t>(config.envs_per_worker));
+  for (auto& q : nstep_) q.reserve(ring_.size());
 }
 
 void ApexWorker::set_weights(const std::map<std::string, Tensor>& weights) {
@@ -38,127 +66,163 @@ int64_t ApexWorker::executor_calls() {
   return agent_->executor().execution_calls();
 }
 
+void ApexWorker::act(ActSlot* slot) {
+  // RLgraph: one batched executor call across the env vector. RLlib-like:
+  // one call per environment (paper §5.1: "multiple session calls",
+  // per-env accounting).
+  if (!config_.act_per_env) {
+    copy_all(agent_->get_actions(current_obs_), &slot->actions);
+    copy_all(agent_->last_preprocessed(), &slot->pre);
+    copy_all(agent_->last_q_values(), &slot->q);
+    return;
+  }
+  for (int64_t e = 0; e < env_->num_envs(); ++e) {
+    Tensor actions =
+        agent_->get_actions(kernels::slice_rows(current_obs_, e, 1));
+    copy_row(actions, 0, &slot->actions, e);
+    copy_row(agent_->last_preprocessed(), 0, &slot->pre, e);
+    copy_row(agent_->last_q_values(), 0, &slot->q, e);
+  }
+}
+
 SampleBatch ApexWorker::sample(int64_t num_records) {
+  if (num_records < 1) {
+    throw ValueError("ApexWorker::sample: num_records must be >= 1, got " +
+                     std::to_string(num_records));
+  }
   if (!started_) {
     current_obs_ = env_->reset();
     started_ = true;
-    // Prime the preprocessed view with one act (also warms caches).
-    agent_->get_actions(current_obs_);
-    current_pre_ = agent_->last_preprocessed();
+    // Prime with one act (also warms caches); its outputs size the ring.
+    Tensor actions = agent_->get_actions(current_obs_);
+    for (ActSlot& slot : ring_) {
+      slot.pre = rows_like(agent_->last_preprocessed(), env_->num_envs());
+      slot.actions = rows_like(actions, env_->num_envs());
+      slot.q = rows_like(agent_->last_q_values(), env_->num_envs());
+    }
   }
 
   const int64_t E = env_->num_envs();
   const double gamma = config_.discount;
   const int n = config_.n_step;
+  const int64_t num_slots = static_cast<int64_t>(ring_.size());
 
-  std::vector<Tensor> rec_s, rec_a, rec_r, rec_s2, rec_t;
-  auto emit = [&](const Pending& p, const Tensor& s2_row, bool terminal) {
-    rec_s.push_back(p.state);
-    rec_a.push_back(p.action);
-    rec_r.push_back(Tensor::from_floats(
-        Shape{1}, {static_cast<float>(p.reward_acc)}));
-    rec_s2.push_back(s2_row);
-    rec_t.push_back(Tensor::from_bools(Shape{1}, {terminal}));
+  // One loop iteration emits at most one aged-out record per env plus a
+  // terminal flush of at most n more, so the loop stops below this.
+  const int64_t capacity = num_records - 1 + E * num_slots;
+  auto column = [this](DType dtype, const Shape& shape) {
+    BufferPoolScope scope(&columns_pool_);
+    return Tensor(dtype, shape);
+  };
+  const ActSlot& like = ring_[0];
+  Tensor states =
+      column(like.pre.dtype(), like.pre.shape().with_dim(0, capacity));
+  Tensor actions =
+      column(like.actions.dtype(), like.actions.shape().with_dim(0, capacity));
+  Tensor rewards = column(DType::kFloat32, Shape{capacity});
+  Tensor next_states =
+      column(like.pre.dtype(), like.pre.shape().with_dim(0, capacity));
+  Tensor terminals = column(DType::kBool, Shape{capacity});
+  Tensor next_q = column(like.q.dtype(), like.q.shape().with_dim(0, capacity));
+  float* rewards_out = rewards.mutable_data<float>();
+  uint8_t* terminals_out = terminals.mutable_data<uint8_t>();
+  int64_t count = 0;
+  // s2 and its online Q come from the act step `next` that emits the record.
+  auto emit = [&](const Pending& p, const ActSlot& next, int64_t e,
+                  bool terminal) {
+    RLG_CHECK(count < capacity);
+    const ActSlot& acted = ring_[static_cast<size_t>(p.slot)];
+    copy_row(acted.pre, e, &states, count);
+    copy_row(acted.actions, e, &actions, count);
+    rewards_out[count] = static_cast<float>(p.reward_acc);
+    copy_row(next.pre, e, &next_states, count);
+    terminals_out[count] = terminal ? 1 : 0;
+    copy_row(next.q, e, &next_q, count);
+    ++count;
   };
 
-  SampleBatch out;
-  while (static_cast<int64_t>(rec_s.size()) < num_records) {
-    // 1. Act. RLgraph: one batched executor call across the env vector.
-    //    RLlib-like: one call per environment (paper §5.1: "multiple
-    //    session calls", per-env accounting).
-    Tensor actions;
-    Tensor pre;
-    if (!config_.act_per_env) {
-      actions = agent_->get_actions(current_obs_);
-      pre = agent_->last_preprocessed();
-    } else {
-      std::vector<Tensor> action_rows, pre_rows;
-      for (int64_t e = 0; e < E; ++e) {
-        Tensor obs_row = kernels::slice_rows(current_obs_, e, 1);
-        action_rows.push_back(agent_->get_actions(obs_row));
-        pre_rows.push_back(agent_->last_preprocessed());
-      }
-      actions = kernels::concat(action_rows, 0);
-      pre = kernels::concat(pre_rows, 0);
-    }
+  int64_t env_frames = 0;
+  while (count < num_records) {
+    // 1. Act into the next ring slot.
+    const int64_t slot_index = acts_++ % num_slots;
+    ActSlot& cur = ring_[static_cast<size_t>(slot_index)];
+    act(&cur);
 
-    // Aged-out n-step records resolve against the current preprocessed
+    // Aged-out n-step records resolve against this step's preprocessed
     // state (s_{t+n}).
     for (int64_t e = 0; e < E; ++e) {
-      auto& dq = nstep_[static_cast<size_t>(e)];
-      while (!dq.empty() && dq.front().age >= n) {
-        emit(dq.front(), kernels::slice_rows(pre, e, 1), false);
-        dq.pop_front();
-      }
+      auto& q = nstep_[static_cast<size_t>(e)];
+      size_t k = 0;
+      while (k < q.size() && q[k].age >= n) emit(q[k++], cur, e, false);
+      q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(k));
     }
 
     // 2. Step the vectorized environment.
-    VectorStepResult r = env_->step(actions);
-    out.env_frames += r.env_frames;
+    VectorStepResult r = env_->step(cur.actions);
+    env_frames += r.env_frames;
 
     // 3. Accumulate n-step rewards.
     const float* pr = r.rewards.data<float>();
     const uint8_t* pt = r.terminals.data<uint8_t>();
     for (int64_t e = 0; e < E; ++e) {
-      auto& dq = nstep_[static_cast<size_t>(e)];
-      dq.push_back(Pending{kernels::slice_rows(pre, e, 1),
-                           kernels::slice_rows(actions, e, 1), 0.0, 0});
-      for (Pending& p : dq) {
+      auto& q = nstep_[static_cast<size_t>(e)];
+      q.push_back(Pending{slot_index, 0.0, 0});
+      for (Pending& p : q) {
         p.reward_acc += std::pow(gamma, p.age) * pr[e];
         ++p.age;
       }
       if (pt[e] != 0) {
         // Terminal: flush everything; s2 is masked by the terminal flag.
-        Tensor dummy = kernels::slice_rows(pre, e, 1);
-        while (!dq.empty()) {
-          emit(dq.front(), dummy, true);
-          dq.pop_front();
-        }
+        for (const Pending& p : q) emit(p, cur, e, true);
+        q.clear();
       }
     }
 
-    current_obs_ = r.observations;
-    current_pre_ = pre;
+    current_obs_ = std::move(r.observations);
   }
 
-  for (double ret : env_->drain_episode_returns()) {
-    out.episode_returns.push_back(ret);
-  }
-  out.num_records = static_cast<int64_t>(rec_s.size());
-  out.states = kernels::concat(rec_s, 0);
-  out.actions = kernels::concat(rec_a, 0);
-  out.rewards = kernels::concat(rec_r, 0);
-  out.next_states = kernels::concat(rec_s2, 0);
-  out.terminals = kernels::concat(rec_t, 0);
-  post_process(&out);
-  return out;
+  // The batch holds views of the columns' filled rows.
+  states = states.leading_rows(count);
+  actions = actions.leading_rows(count);
+  rewards = rewards.leading_rows(count);
+  next_states = next_states.leading_rows(count);
+  terminals = terminals.leading_rows(count);
+  Tensor priorities =
+      this->priorities(states, actions, rewards, next_states, terminals,
+                       next_q.leading_rows(count));
+  return SampleBatch{std::move(states),      std::move(actions),
+                     std::move(rewards),     std::move(next_states),
+                     std::move(terminals),   std::move(priorities),
+                     count,                  env_frames,
+                     env_->drain_episode_returns()};
 }
 
-void ApexWorker::post_process(SampleBatch* batch) {
+Tensor ApexWorker::priorities(const Tensor& states, const Tensor& actions,
+                              const Tensor& rewards, const Tensor& next_states,
+                              const Tensor& terminals, const Tensor& next_q) {
   // Worker-side prioritization (Ape-X heuristic): initial priorities are the
   // worker's own TD errors.
   if (!config_.incremental_post_processing) {
     // RLgraph: one batched executor call.
-    batch->priorities = agent_->compute_priorities(
-        batch->states, batch->actions, batch->rewards, batch->next_states,
-        batch->terminals);
-    return;
+    return agent_->compute_priorities(states, actions, rewards, next_states,
+                                      terminals, next_q);
   }
   // RLlib-like: incremental chunked post-processing, one executor call per
   // chunk.
   std::vector<Tensor> parts;
-  int64_t total = batch->num_records;
-  int64_t chunk = std::max<int64_t>(1, config_.post_process_chunk);
+  const int64_t total = states.shape().dim(0);
+  const int64_t chunk = std::max<int64_t>(1, config_.post_process_chunk);
   for (int64_t begin = 0; begin < total; begin += chunk) {
-    int64_t size = std::min(chunk, total - begin);
+    const int64_t size = std::min(chunk, total - begin);
     parts.push_back(agent_->compute_priorities(
-        kernels::slice_rows(batch->states, begin, size),
-        kernels::slice_rows(batch->actions, begin, size),
-        kernels::slice_rows(batch->rewards, begin, size),
-        kernels::slice_rows(batch->next_states, begin, size),
-        kernels::slice_rows(batch->terminals, begin, size)));
+        kernels::slice_rows(states, begin, size),
+        kernels::slice_rows(actions, begin, size),
+        kernels::slice_rows(rewards, begin, size),
+        kernels::slice_rows(next_states, begin, size),
+        kernels::slice_rows(terminals, begin, size),
+        kernels::slice_rows(next_q, begin, size)));
   }
-  batch->priorities = kernels::concat(parts, 0);
+  return kernels::concat(parts, 0);
 }
 
 // --- ReplayShard -----------------------------------------------------------------

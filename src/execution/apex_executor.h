@@ -17,7 +17,6 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +25,7 @@
 #include "env/vector_env.h"
 #include "execution/ray_executor.h"
 #include "raylite/net/rpc.h"
+#include "tensor/buffer_pool.h"
 
 namespace rlgraph {
 
@@ -123,23 +123,44 @@ class ApexWorker : public ApexWorkerInterface {
   int64_t executor_calls() override;
 
  private:
-  void post_process(SampleBatch* batch);
+  // One act call's outputs, copied out of the agent into buffers the worker
+  // owns: preprocessed states [E, ...], actions [E], online Q-values [E, A].
+  struct ActSlot {
+    Tensor pre, actions, q;
+  };
+  // A record waiting for its n-step return. Its s_t and a_t are row e of
+  // ring_[slot], where e is the env whose queue holds it.
+  struct Pending {
+    int64_t slot = 0;
+    double reward_acc = 0.0;
+    int age = 0;
+  };
+
+  // Runs one act step on current_obs_ and copies its outputs into `slot`.
+  void act(ActSlot* slot);
+  // Worker-side TD-error priorities of the records; `next_q` holds the
+  // online Q(s2) rows their act steps computed.
+  Tensor priorities(const Tensor& states, const Tensor& actions,
+                    const Tensor& rewards, const Tensor& next_states,
+                    const Tensor& terminals, const Tensor& next_q);
 
   ApexConfig config_;
   std::unique_ptr<DQNAgent> agent_;
   std::unique_ptr<VectorEnv> env_;
   Tensor current_obs_;       // raw observations [E, ...]
-  Tensor current_pre_;       // preprocessed observations of the last act
   bool started_ = false;
 
-  // Per-env n-step accumulation buffers.
-  struct Pending {
-    Tensor state;  // preprocessed s_t (single row)
-    Tensor action;
-    double reward_acc = 0.0;
-    int age = 0;
-  };
-  std::vector<std::deque<Pending>> nstep_;
+  // The last n+1 act outputs. A record acted at step t is emitted at step
+  // t+n at the latest, against that step's preprocessed state and Q-values,
+  // so n+1 slots cover every pending record.
+  std::vector<ActSlot> ring_;
+  int64_t acts_ = 0;
+  // Per-env n-step queues, oldest first; at most n+1 entries each, reserved
+  // up front.
+  std::vector<std::vector<Pending>> nstep_;
+  // Record columns are allocated from this pool per sample, so a batch's
+  // buffers come back for reuse once its consumers drop it.
+  BufferPool columns_pool_;
 };
 
 // Replay-shard actor body.

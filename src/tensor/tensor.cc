@@ -149,6 +149,15 @@ Tensor Tensor::reshaped(const Shape& shape) const {
   return t;
 }
 
+Tensor Tensor::leading_rows(int64_t rows) const {
+  RLG_REQUIRE(shape_.rank() >= 1 && rows >= 0 && rows <= shape_.dim(0),
+              "leading_rows(" << rows << ") of shape " << shape_.to_string());
+  Tensor t = *this;
+  t.shape_ = shape_.with_dim(0, rows);
+  t.num_elements_ = t.shape_.num_elements();
+  return t;
+}
+
 Tensor Tensor::cast(DType target) const {
   if (target == dtype_) return *this;
   Tensor t(target, shape_);

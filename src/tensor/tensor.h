@@ -72,6 +72,10 @@ class Tensor {
   // Same buffer, different shape (element count must match).
   Tensor reshaped(const Shape& shape) const;
 
+  // Same buffer, only the first `rows` rows along dim 0 (0 <= rows <=
+  // dim(0)). Row-major storage makes the prefix contiguous.
+  Tensor leading_rows(int64_t rows) const;
+
   // Converts to the target dtype (element-wise cast).
   Tensor cast(DType target) const;
 

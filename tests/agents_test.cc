@@ -6,11 +6,14 @@
 
 #include "agents/dqn_agent.h"
 #include "agents/impala_agent.h"
+#include "components/policy.h"
+#include "core/component_test.h"
 #include "env/catch_env.h"
 #include "env/grid_world.h"
 #include "env/vector_env.h"
 #include "tensor/kernels.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace rlgraph {
 namespace {
@@ -165,9 +168,100 @@ TEST(DQNAgentTest, ComputePrioritiesShape) {
   Tensor a = Tensor::from_ints(Shape{6}, {0, 1, 2, 3, 0, 1});
   Tensor r = Tensor::zeros(DType::kFloat32, Shape{6});
   Tensor t = Tensor::from_bools(Shape{6}, std::vector<bool>(6, false));
-  Tensor p = agent.compute_priorities(s, a, r, s, t);
+  // No preprocessor: the online Q(s2) rows are the exploring act's Q(s).
+  agent.get_actions(s);
+  Tensor p = agent.compute_priorities(s, a, r, s, t, agent.last_q_values());
   EXPECT_EQ(p.shape(), (Shape{6}));
   for (int i = 0; i < 6; ++i) EXPECT_GE(p.at_flat(i), 0.0);
+}
+
+TEST(DQNAgentTest, GreedyActClearsQValues) {
+  GridWorld env(GridWorld::Config{});
+  DQNAgent agent(dqn_config(), env.state_space(), env.action_space());
+  agent.build();
+  Tensor s = Tensor::zeros(DType::kFloat32, Shape{3, 16});
+  EXPECT_THROW(agent.last_q_values(), ValueError);  // no act yet
+  agent.get_actions(s);
+  EXPECT_EQ(agent.last_q_values().shape(), (Shape{3, 4}));
+  agent.get_actions(s, /*explore=*/false);
+  EXPECT_THROW(agent.last_q_values(), ValueError);
+  agent.get_actions(s);
+  EXPECT_EQ(agent.last_q_values().shape(), (Shape{3, 4}));
+}
+
+TEST(DQNAgentTest, ComputePrioritiesRejectsQRowsOfAnotherBatch) {
+  GridWorld env(GridWorld::Config{});
+  DQNAgent agent(dqn_config(), env.state_space(), env.action_space());
+  agent.build();
+  Tensor s = Tensor::zeros(DType::kFloat32, Shape{6, 16});
+  Tensor a = Tensor::from_ints(Shape{6}, {0, 1, 2, 3, 0, 1});
+  Tensor r = Tensor::zeros(DType::kFloat32, Shape{6});
+  Tensor t = Tensor::from_bools(Shape{6}, std::vector<bool>(6, false));
+  agent.get_actions(kernels::slice_rows(s, 0, 5));  // Q of 5 states, not 6
+  try {
+    agent.compute_priorities(s, a, r, s, t, agent.last_q_values());
+    FAIL() << "expected ValueError";
+  } catch (const ValueError& e) {
+    EXPECT_NE(std::string(e.what()).find("next_q_online"), std::string::npos)
+        << e.what();
+  }
+  Tensor scalar_q;  // rank 0
+  EXPECT_THROW(agent.compute_priorities(s, a, r, s, t, scalar_q), ValueError);
+}
+
+// The Ape-X worker feeds act-time Q rows into compute_priorities in place of
+// a batch-N recompute, so an act's online Q row must not depend on the batch
+// it ran in: conv and dense accumulate each output element in a fixed order.
+// Rows from exploring acts at batch 1 and 4 (unfused plan) are compared with
+// a batch-100 forward of the same policy in a fused plan, at 1 and 2 threads.
+TEST(DQNAgentTest, ActTimeQRowsMatchFusedBatchForward) {
+  Json cfg = Json::parse(R"({
+    "type": "apex",
+    "network": [
+      {"type": "conv2d", "filters": 4, "kernel": 4, "stride": 2,
+       "activation": "relu"},
+      {"type": "conv2d", "filters": 8, "kernel": 3, "stride": 2,
+       "activation": "relu"},
+      {"type": "dense", "units": 32, "activation": "relu"}
+    ],
+    "memory": {"type": "prioritized", "capacity": 16},
+    "dueling_q": true
+  })");
+  SpacePtr state_space = FloatBox(Shape{16, 16, 1});
+  SpacePtr action_space = IntBox(6);
+  DQNAgent agent(cfg, state_space, action_space);
+  agent.build();
+
+  auto policy = std::make_shared<Policy>("policy", cfg.at("network"),
+                                         action_space, PolicyHead::kDuelingQ);
+  ComponentTest forward(
+      policy, {{"get_q_values", {state_space->with_batch_rank()}}});
+  std::map<std::string, Tensor> weights;
+  for (auto& [name, value] : agent.get_weights("agent/policy/")) {
+    weights["policy/" + name.substr(std::string("agent/policy/").size())] =
+        value;
+  }
+  ASSERT_EQ(weights.size(), forward.executor().get_weights("policy/").size());
+  forward.executor().set_weights(weights);
+
+  Rng rng(11);
+  Tensor obs = kernels::random_uniform(Shape{100, 16, 16, 1}, -1, 1, rng);
+  const size_t threads_before = global_parallelism();
+  for (size_t threads : {1, 2}) {
+    set_global_parallelism(threads);
+    Tensor want = forward.test("get_q_values", {obs})[0];
+    ASSERT_EQ(want.shape(), (Shape{100, 6}));
+    for (int64_t batch : {1, 4}) {
+      for (int64_t begin = 0; begin < 100; begin += batch) {
+        agent.get_actions(kernels::slice_rows(obs, begin, batch));
+        EXPECT_TRUE(agent.last_q_values().equals(
+            kernels::slice_rows(want, begin, batch)))
+            << "rows " << begin << ".." << begin + batch << " at batch "
+            << batch << ", " << threads << " threads";
+      }
+    }
+  }
+  set_global_parallelism(threads_before);
 }
 
 TEST(DQNAgentTest, ModelExportImportRoundTrip) {

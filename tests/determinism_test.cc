@@ -5,10 +5,14 @@
 // variable initialization, RNG streams, and autodiff rules).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+
 #include "agents/dqn_agent.h"
 #include "agents/sac_agent.h"
 #include "env/grid_world.h"
 #include "env/pendulum_env.h"
+#include "execution/apex_executor.h"
 #include "tensor/kernels.h"
 #include "util/thread_pool.h"
 
@@ -239,6 +243,96 @@ TEST(SacDeterminismTest, GoldenUpdateStepExactlyReproducible) {
   EXPECT_EQ(a.alpha_loss, b.alpha_loss);
   EXPECT_EQ(a.alpha, b.alpha);
   EXPECT_EQ(a.greedy, b.greedy);  // bitwise
+}
+
+// --- Ape-X lockstep golden ---------------------------------------------------
+// The lockstep pipeline perfbench's learn workload runs: worker sample of 100
+// records from 4 Pong envs (conv dueling double-Q, n = 3), insert into a
+// ReplayShard, prioritized sample of 32, learner update_from_batch, priority
+// write-back, learner weights to the worker every 10 updates. The bits of the
+// loss after 20 updates are pinned, so a change anywhere on this path (record
+// gather, priorities, replay sampling, the update) fails tier-1.
+
+Json apex_pong_config() {
+  return Json::parse(R"({
+    "type": "apex",
+    "backend": "static",
+    "specialize_shapes": true,
+    "network": [
+      {"type": "conv2d", "filters": 4, "kernel": 4, "stride": 2,
+       "activation": "relu"},
+      {"type": "conv2d", "filters": 8, "kernel": 3, "stride": 2,
+       "activation": "relu"},
+      {"type": "dense", "units": 32, "activation": "relu"}
+    ],
+    "preprocessor": [{"type": "rescale", "scale": 1.0}],
+    "memory": {"type": "prioritized", "capacity": 4000,
+               "alpha": 0.6, "beta": 0.4},
+    "optimizer": {"type": "adam", "learning_rate": 0.0005},
+    "exploration": {"eps_start": 1.0, "eps_end": 0.05, "decay_steps": 20000},
+    "update": {"batch_size": 32, "sync_interval": 100, "min_records": 200},
+    "discount": 0.99, "double_q": true, "dueling_q": true, "n_step": 3
+  })");
+}
+
+std::string apex_lockstep_fingerprint(uint64_t seed, bool rllib_like) {
+  ApexConfig c;
+  c.act_per_env = rllib_like;
+  c.incremental_post_processing = rllib_like;
+  c.agent_config = apex_pong_config();
+  c.env_spec = Json::parse(
+      R"({"type": "pong", "height": 16, "width": 16, "frame_skip": 4})");
+  c.envs_per_worker = 4;
+  c.n_step = 3;
+  c.learner_batch = 32;
+  c.seed = seed;
+  auto probe = make_environment(c.env_spec);
+  c.state_space = probe->state_space();
+  c.action_space = probe->action_space();
+  c.preprocessed_space_ =
+      preprocessed_space(c.agent_config.get("preprocessor"), c.state_space);
+
+  ReplayShard shard(c, 0);
+  ApexWorker worker(c, 0);
+  Json lcfg = c.agent_config;
+  lcfg["seed"] = Json(static_cast<int64_t>(seed + 77));
+  lcfg["memory"]["capacity"] = Json(static_cast<int64_t>(16));
+  DQNAgent learner(lcfg, c.state_space, c.action_space);
+  learner.build();
+  learner.sync_target();
+  auto push_weights = [&] {
+    auto weights = learner.get_weights("agent/policy");
+    auto target = learner.get_weights("agent/target-policy");
+    weights.insert(target.begin(), target.end());
+    worker.set_weights(weights);
+  };
+  push_weights();
+  while (shard.size() < 200) shard.insert(worker.sample(100));
+  double loss = 0.0;
+  for (int u = 1; u <= 20; ++u) {
+    shard.insert(worker.sample(100));
+    std::vector<Tensor> b = shard.sample(32);
+    EXPECT_EQ(b.size(), 7u);
+    if (b.size() != 7) return "";
+    auto [l, td] = learner.update_from_batch(b[0], b[1], b[2], b[3], b[4],
+                                             b[6]);
+    shard.update_priorities(b[5], td);
+    loss = l;
+    if (u % 10 == 0) push_weights();
+  }
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<uint64_t>(loss)));
+  return hex;
+}
+
+// One seed in the batched mode and one in the RLlib-like mode (per-env act
+// calls, chunked priorities).
+TEST(DeterminismTest, ApexLockstepFingerprintGolden) {
+  EXPECT_EQ(apex_lockstep_fingerprint(1, /*rllib_like=*/false),
+            "3f94c8b340000000");
+  EXPECT_EQ(apex_lockstep_fingerprint(2, /*rllib_like=*/true),
+            "3f8a43c260000000");
 }
 
 }  // namespace

@@ -2,12 +2,16 @@
 // trainer, Ape-X executor smoke, and the IMPALA pipeline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <deque>
+
 #include "execution/apex_executor.h"
 #include "execution/device.h"
 #include "execution/impala_pipeline.h"
 #include "execution/multi_device.h"
 #include "execution/param_server.h"
 #include "tensor/kernels.h"
+#include "util/thread_pool.h"
 
 namespace rlgraph {
 namespace {
@@ -182,6 +186,251 @@ TEST(ApexWorkerTest, NStepRewardsAccumulate) {
   EXPECT_EQ(batch.states.shape().dim(0), batch.num_records);
   EXPECT_EQ(batch.priorities.shape(), (Shape{batch.num_records}));
   EXPECT_GT(batch.env_frames, 0);
+}
+
+TEST(ApexWorkerTest, SampleRejectsNonPositiveRecordCount) {
+  ApexConfig cfg;
+  cfg.agent_config = small_agent_config();
+  cfg.env_spec = Json::parse(R"({"type": "grid_world"})");
+  cfg.envs_per_worker = 2;
+  auto probe = make_environment(cfg.env_spec);
+  cfg.state_space = probe->state_space();
+  cfg.action_space = probe->action_space();
+  cfg.preprocessed_space_ = cfg.state_space;
+  ApexWorker worker(cfg, 0);
+  for (int64_t bad : {int64_t{0}, int64_t{-3}}) {
+    try {
+      worker.sample(bad);
+      FAIL() << "expected ValueError for num_records " << bad;
+    } catch (const ValueError& e) {
+      EXPECT_NE(std::string(e.what()).find("num_records"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Rejected before any act (or env step): the worker is still unprimed.
+  EXPECT_EQ(worker.executor_calls(), 0);
+  EXPECT_GE(worker.sample(5).num_records, 5);
+}
+
+// A per-record reference for ApexWorker::sample: one pair of one-row
+// tensors per pending record, five one-row tensors per emitted record,
+// concat at the end, and priorities with the online Q(s') recomputed at
+// batch N by a second agent holding the same weights. Driven with the
+// worker's seeds, it must produce byte-identical batches.
+class ReferenceWorker {
+ public:
+  ReferenceWorker(const ApexConfig& config, int worker_index)
+      : config_(config),
+        agent_(worker_agent(config, worker_index)),
+        q_agent_(worker_agent(config, worker_index)),
+        env_(config.env_spec, config.envs_per_worker,
+             config.seed * 31 + static_cast<uint64_t>(worker_index)),
+        nstep_(static_cast<size_t>(config.envs_per_worker)) {}
+
+  void set_weights(const std::map<std::string, Tensor>& weights) {
+    agent_->set_weights(weights);
+    q_agent_->set_weights(weights);
+  }
+
+  SampleBatch sample(int64_t num_records) {
+    if (!started_) {
+      obs_ = env_.reset();
+      started_ = true;
+      agent_->get_actions(obs_);
+    }
+    const int64_t E = env_.num_envs();
+    const int n = config_.n_step;
+    std::vector<Tensor> rec_s, rec_a, rec_r, rec_s2, rec_t;
+    auto emit = [&](const Pending& p, const Tensor& s2_row, bool terminal) {
+      rec_s.push_back(p.state);
+      rec_a.push_back(p.action);
+      rec_r.push_back(Tensor::from_floats(
+          Shape{1}, {static_cast<float>(p.reward_acc)}));
+      rec_s2.push_back(s2_row);
+      rec_t.push_back(Tensor::from_bools(Shape{1}, {terminal}));
+    };
+    SampleBatch out;
+    while (static_cast<int64_t>(rec_s.size()) < num_records) {
+      Tensor actions, pre;
+      if (!config_.act_per_env) {
+        actions = agent_->get_actions(obs_);
+        pre = agent_->last_preprocessed();
+      } else {
+        std::vector<Tensor> action_rows, pre_rows;
+        for (int64_t e = 0; e < E; ++e) {
+          action_rows.push_back(
+              agent_->get_actions(kernels::slice_rows(obs_, e, 1)));
+          pre_rows.push_back(agent_->last_preprocessed());
+        }
+        actions = kernels::concat(action_rows, 0);
+        pre = kernels::concat(pre_rows, 0);
+      }
+      for (int64_t e = 0; e < E; ++e) {
+        auto& dq = nstep_[static_cast<size_t>(e)];
+        while (!dq.empty() && dq.front().age >= n) {
+          emit(dq.front(), kernels::slice_rows(pre, e, 1), false);
+          dq.pop_front();
+        }
+      }
+      VectorStepResult r = env_.step(actions);
+      out.env_frames += r.env_frames;
+      const float* pr = r.rewards.data<float>();
+      const uint8_t* pt = r.terminals.data<uint8_t>();
+      for (int64_t e = 0; e < E; ++e) {
+        auto& dq = nstep_[static_cast<size_t>(e)];
+        dq.push_back(Pending{kernels::slice_rows(pre, e, 1),
+                             kernels::slice_rows(actions, e, 1), 0.0, 0});
+        for (Pending& p : dq) {
+          p.reward_acc += std::pow(config_.discount, p.age) * pr[e];
+          ++p.age;
+        }
+        if (pt[e] != 0) {
+          Tensor dummy = kernels::slice_rows(pre, e, 1);
+          while (!dq.empty()) {
+            emit(dq.front(), dummy, true);
+            dq.pop_front();
+          }
+        }
+      }
+      obs_ = r.observations;
+    }
+    out.episode_returns = env_.drain_episode_returns();
+    out.num_records = static_cast<int64_t>(rec_s.size());
+    out.states = kernels::concat(rec_s, 0);
+    out.actions = kernels::concat(rec_a, 0);
+    out.rewards = kernels::concat(rec_r, 0);
+    out.next_states = kernels::concat(rec_s2, 0);
+    out.terminals = kernels::concat(rec_t, 0);
+    // Online Q(s') at batch N. The configs here have no preprocessor, so
+    // the preprocessed s' is a valid raw input.
+    q_agent_->get_actions(out.next_states);
+    const Tensor q_next = q_agent_->last_q_values();
+    if (!config_.incremental_post_processing) {
+      out.priorities = agent_->compute_priorities(
+          out.states, out.actions, out.rewards, out.next_states,
+          out.terminals, q_next);
+      return out;
+    }
+    std::vector<Tensor> parts;
+    const int64_t chunk = config_.post_process_chunk;
+    for (int64_t b = 0; b < out.num_records; b += chunk) {
+      const int64_t size = std::min(chunk, out.num_records - b);
+      parts.push_back(agent_->compute_priorities(
+          kernels::slice_rows(out.states, b, size),
+          kernels::slice_rows(out.actions, b, size),
+          kernels::slice_rows(out.rewards, b, size),
+          kernels::slice_rows(out.next_states, b, size),
+          kernels::slice_rows(out.terminals, b, size),
+          kernels::slice_rows(q_next, b, size)));
+    }
+    out.priorities = kernels::concat(parts, 0);
+    return out;
+  }
+
+ private:
+  struct Pending {
+    Tensor state, action;
+    double reward_acc = 0.0;
+    int age = 0;
+  };
+
+  // The agent ApexWorker builds for the same slot (same seed, same init).
+  static std::unique_ptr<DQNAgent> worker_agent(const ApexConfig& c,
+                                                int index) {
+    Json cfg = c.agent_config;
+    cfg["memory"]["capacity"] = Json(static_cast<int64_t>(16));
+    cfg["seed"] = Json(static_cast<int64_t>(c.seed + 1000 +
+                                            static_cast<uint64_t>(index)));
+    auto agent = std::make_unique<DQNAgent>(cfg, c.state_space,
+                                            c.action_space);
+    agent->build();
+    return agent;
+  }
+
+  ApexConfig config_;
+  std::unique_ptr<DQNAgent> agent_, q_agent_;
+  VectorEnv env_;
+  Tensor obs_;
+  bool started_ = false;
+  std::vector<std::deque<Pending>> nstep_;
+};
+
+// Online and target weights nudged by seeded noise, as a learner's weight
+// push would change them.
+std::map<std::string, Tensor> nudged(std::map<std::string, Tensor> weights,
+                                     Rng& rng) {
+  for (auto& [name, value] : weights) {
+    Tensor noise = kernels::random_uniform(value.shape(), -0.05, 0.05, rng);
+    value = kernels::add(value, noise);
+  }
+  return weights;
+}
+
+TEST(ApexWorkerTest, SampleMatchesPerRecordReference) {
+  // The gather runs on the calling thread; a serial kernel pool keeps the
+  // 1,600 samples quick under the sanitizers.
+  const size_t threads_before = global_parallelism();
+  set_global_parallelism(1);
+  int64_t terminal_records = 0;
+  for (bool rllib_like : {false, true}) {
+    for (int envs : {1, 4}) {
+      for (int n : {1, 3}) {
+        ApexConfig cfg;
+        cfg.agent_config = small_agent_config();
+        cfg.env_spec = Json::parse(R"({"type": "grid_world"})");
+        cfg.envs_per_worker = envs;
+        cfg.n_step = n;
+        cfg.seed = static_cast<uint64_t>(3 + envs + 10 * n);
+        cfg.act_per_env = rllib_like;
+        cfg.incremental_post_processing = rllib_like;
+        cfg.post_process_chunk = 16;
+        auto probe = make_environment(cfg.env_spec);
+        cfg.state_space = probe->state_space();
+        cfg.action_space = probe->action_space();
+        cfg.preprocessed_space_ = cfg.state_space;
+
+        ApexWorker worker(cfg, 0);
+        ReferenceWorker ref(cfg, 0);
+        DQNAgent weights_source(cfg.agent_config, cfg.state_space,
+                                cfg.action_space);
+        weights_source.build();
+        auto weights = weights_source.get_weights("agent/policy");
+        auto target = weights_source.get_weights("agent/target-policy");
+        weights.insert(target.begin(), target.end());
+        Rng rng(cfg.seed);
+        const std::string where =
+            std::string(rllib_like ? "rllib" : "rlgraph") +
+            " E=" + std::to_string(envs) + " n=" + std::to_string(n);
+        for (int k = 0; k < 200; ++k) {
+          if (k % 7 == 6) {
+            weights = nudged(std::move(weights), rng);
+            worker.set_weights(weights);
+            ref.set_weights(weights);
+          }
+          SampleBatch got = worker.sample(37);
+          SampleBatch want = ref.sample(37);
+          ASSERT_EQ(got.num_records, want.num_records) << where << " #" << k;
+          ASSERT_TRUE(got.states.equals(want.states)) << where << " #" << k;
+          ASSERT_TRUE(got.actions.equals(want.actions)) << where << " #" << k;
+          ASSERT_TRUE(got.rewards.equals(want.rewards)) << where << " #" << k;
+          ASSERT_TRUE(got.next_states.equals(want.next_states))
+              << where << " #" << k;
+          ASSERT_TRUE(got.terminals.equals(want.terminals))
+              << where << " #" << k;
+          ASSERT_TRUE(got.priorities.equals(want.priorities))
+              << where << " #" << k;
+          ASSERT_EQ(got.env_frames, want.env_frames) << where << " #" << k;
+          ASSERT_EQ(got.episode_returns, want.episode_returns)
+              << where << " #" << k;
+          for (int64_t i = 0; i < got.num_records; ++i) {
+            terminal_records += got.terminals.at_flat(i) != 0.0 ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  set_global_parallelism(threads_before);
+  EXPECT_GT(terminal_records, 100);
 }
 
 TEST(ApexExecutorTest, DestructorWithoutRunIsClean) {
