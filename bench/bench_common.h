@@ -1,6 +1,7 @@
 // Shared helpers for the figure-reproduction benchmarks.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
@@ -54,6 +55,14 @@ inline double mean(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
   return std::accumulate(v.begin(), v.end(), 0.0) /
          static_cast<double>(v.size());
+}
+
+// Median (mean of the middle two for an even count); 0 when empty.
+inline double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
 }
 
 // Benchmark scale from the environment: RLGRAPH_BENCH_SCALE=quick|full

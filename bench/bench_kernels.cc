@@ -4,7 +4,10 @@
 // plus the elementwise kernels at the shapes the act step and the Adam
 // update run them: the preprocessor's rescale, the conv and dense bias adds,
 // the optimizer's scalar and same-shape products, the ReLU gradient's
-// per-element where and a fused bias + ReLU chain.
+// per-element where and a fused bias + ReLU chain. One more row times the
+// plan tier alone: a 400-step chain of scalar Muls through
+// CompiledPlan::Builder, reported per step, where the kernels do almost no
+// work and the cost is the execute loop's dispatch.
 //
 // Inputs are what the network really sees, because the kernels' cost depends
 // on how many inputs are exactly zero: conv1 reads stacked Pong frames from
@@ -21,12 +24,14 @@
 // loops.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <functional>
 #include <map>
 #include <string>
 
 #include "bench_common.h"
 #include "env/vector_env.h"
+#include "graph/exec_plan.h"
 #include "tensor/kernels.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -121,8 +126,8 @@ void run(benchmark::State& state, const std::function<Tensor()>& call) {
 }
 
 template <typename Fn>
-void add(const std::string& name, Fn fn) {
-  benchmark::RegisterBenchmark(name.c_str(), fn)
+benchmark::internal::Benchmark* add(const std::string& name, Fn fn) {
+  return benchmark::RegisterBenchmark(name.c_str(), fn)
       ->Unit(benchmark::kMicrosecond);
 }
 
@@ -259,6 +264,40 @@ void register_elementwise() {
       });
 }
 
+// Plan dispatch: a chain of kDispatchSteps scalar Muls, timed per step.
+// The row's time is per step (manual time), so a fixed call count stands in
+// for --benchmark_min_time, which would count per-step seconds.
+constexpr int kDispatchSteps = 400;
+constexpr int kDispatchCalls = 2000;
+
+void register_dispatch() {
+  add("plan/mul_chain_400_per_step", [](benchmark::State& s) {
+    CompiledPlan::Builder builder;
+    int value = builder.add_input();
+    const int factor = builder.add_const(Tensor::scalar(1.0f));
+    for (int i = 0; i < kDispatchSteps; ++i) {
+      NodeDef node;
+      node.op = "Mul";
+      node.name = "mul";
+      value = builder.add_step(std::move(node), {value, factor}, 1);
+    }
+    builder.set_outputs({value});
+    std::shared_ptr<CompiledPlan> plan = builder.finish();
+    RunArena arena;
+    const std::vector<Tensor> feed = {Tensor::scalar(1.5f)};
+    for (auto _ : s) {
+      const auto t0 = std::chrono::steady_clock::now();
+      std::vector<Tensor> out = plan->execute(arena, feed, nullptr);
+      benchmark::DoNotOptimize(out[0].data<float>());
+      const std::chrono::duration<double> dt =
+          std::chrono::steady_clock::now() - t0;
+      s.SetIterationTime(dt.count() / kDispatchSteps);
+    }
+  })
+      ->UseManualTime()
+      ->Iterations(kDispatchCalls);
+}
+
 // Console output as usual, plus one bench::Reporter row per run.
 class RecordingReporter : public benchmark::ConsoleReporter {
  public:
@@ -270,15 +309,15 @@ class RecordingReporter : public benchmark::ConsoleReporter {
     for (const Run& r : runs) {
       if (r.error_occurred) continue;
       std::string name = r.benchmark_name();
-      // "<kernel>/<layer>[/batch:<n>][_<aggregate>]"
+      // "<kernel>/<layer>[/batch:<n>][/<run options>][_<aggregate>]"
       size_t s1 = name.find('/');
       size_t s2 = name.find('/', s1 + 1);
       Json params;
       params["kernel"] = Json(name.substr(0, s1));
       params["layer"] = Json(name.substr(s1 + 1, s2 - s1 - 1));
-      if (s2 != std::string::npos) {
+      if (name.compare(s2 + 1, 6, "batch:") == 0) {
         params["batch"] = Json(static_cast<int64_t>(
-            std::stoll(name.substr(name.find(':', s2) + 1))));
+            std::stoll(name.substr(s2 + 7))));
       }
       params["threads"] = Json(static_cast<int64_t>(global_parallelism()));
       out_->record(name, r.GetAdjustedRealTime(), "us", std::move(params));
@@ -295,11 +334,13 @@ class RecordingReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   using namespace rlgraph;
   bench::print_header(
-      "Kernel tier: Pong conv, dense and elementwise kernels, us per call");
+      "Kernel tier: Pong conv, dense and elementwise kernels, us per call; "
+      "plan dispatch, us per step");
   bench::Reporter reporter("kernels", argc, argv);
   benchmark::Initialize(&argc, argv);
   register_all();
   register_elementwise();
+  register_dispatch();
   RecordingReporter display(&reporter);
   benchmark::RunSpecifiedBenchmarks(&display);
   benchmark::Shutdown();

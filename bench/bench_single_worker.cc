@@ -6,7 +6,13 @@
 // scales better with the number of vectorized environments (batched acting
 // and accounting vs. per-env calls); throughput grows with task size as
 // fixed task overhead amortizes.
+//
+// Each cell is the median over `runs` samples per implementation. The three
+// workers are built side by side and sampled in turn, one sample each per
+// round, so all three see the same phases of a noisy host.
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "baselines/rllib_like.h"
 #include "bench_common.h"
@@ -15,8 +21,7 @@
 namespace rlgraph {
 namespace {
 
-double worker_fps(const ApexConfig& base, int envs, int64_t task_size,
-                  int warmup, int runs) {
+std::unique_ptr<ApexWorker> make_worker(const ApexConfig& base, int envs) {
   ApexConfig cfg = base;
   cfg.envs_per_worker = envs;
   auto probe = make_environment(cfg.env_spec);
@@ -24,16 +29,30 @@ double worker_fps(const ApexConfig& base, int envs, int64_t task_size,
   cfg.action_space = probe->action_space();
   cfg.preprocessed_space_ = preprocessed_space(
       cfg.agent_config.get("preprocessor"), cfg.state_space);
-  ApexWorker worker(cfg, 0);
-  for (int i = 0; i < warmup; ++i) worker.sample(task_size);
-  std::vector<double> fps;
-  for (int i = 0; i < runs; ++i) {
-    Stopwatch watch;
-    SampleBatch batch = worker.sample(task_size);
-    fps.push_back(static_cast<double>(batch.env_frames) /
-                  watch.elapsed_seconds());
+  return std::make_unique<ApexWorker>(cfg, 0);
+}
+
+// Median env frames/s of each config's worker, sampled alternately.
+std::vector<double> worker_fps(const std::vector<ApexConfig>& configs,
+                               int envs, int64_t task_size, int warmup,
+                               int runs) {
+  std::vector<std::unique_ptr<ApexWorker>> workers;
+  for (const ApexConfig& cfg : configs) {
+    workers.push_back(make_worker(cfg, envs));
+    for (int i = 0; i < warmup; ++i) workers.back()->sample(task_size);
   }
-  return bench::mean(fps);
+  std::vector<std::vector<double>> fps(workers.size());
+  for (int i = 0; i < runs; ++i) {
+    for (size_t w = 0; w < workers.size(); ++w) {
+      Stopwatch watch;
+      SampleBatch batch = workers[w]->sample(task_size);
+      fps[w].push_back(static_cast<double>(batch.env_frames) /
+                       watch.elapsed_seconds());
+    }
+  }
+  std::vector<double> medians;
+  for (const std::vector<double>& f : fps) medians.push_back(bench::median(f));
+  return medians;
 }
 
 }  // namespace
@@ -65,13 +84,13 @@ int main(int argc, char** argv) {
               "env_frames/s");
   for (int envs : env_counts) {
     for (int64_t task : task_sizes) {
-      double rlgraph = worker_fps(base, envs, task, warmup, runs);
-      double rllib = worker_fps(baselines::rllib_like(base), envs, task,
-                                warmup, runs);
       // Ablation: only incremental post-processing (batched acting kept).
       ApexConfig ablate = base;
       ablate.incremental_post_processing = true;
-      double incr_only = worker_fps(ablate, envs, task, warmup, runs);
+      const std::vector<double> fps = worker_fps(
+          {base, baselines::rllib_like(base), ablate}, envs, task, warmup,
+          runs);
+      const double rlgraph = fps[0], rllib = fps[1], incr_only = fps[2];
       std::printf("%-24s %6d %10lld %14.0f\n", "RLgraph", envs,
                   static_cast<long long>(task), rlgraph);
       std::printf("%-24s %6d %10lld %14.0f\n", "RLlib-like", envs,

@@ -24,11 +24,13 @@ std::vector<OpRef> ImperativeContext::record(TapeEntry entry) {
 }
 
 Tensor ImperativeContext::fabricate(DType dtype, const Shape& shape) const {
-  std::vector<int64_t> dims = shape.dims();
-  for (int64_t& d : dims) {
-    if (d == kUnknownDim) d = probe_batch_;
+  Shape concrete = shape;
+  for (int i = 0; i < concrete.rank(); ++i) {
+    if (concrete.dim(i) == kUnknownDim) {
+      concrete = concrete.with_dim(i, probe_batch_);
+    }
   }
-  return Tensor::zeros(dtype, Shape(dims));
+  return Tensor::zeros(dtype, concrete);
 }
 
 std::vector<OpRef> ImperativeContext::apply_multi(
@@ -65,16 +67,11 @@ std::vector<OpRef> ImperativeContext::apply_multi(
     return record(std::move(entry));
   }
 
-  KernelContext ctx;
   NodeDef node_view;  // kernel needs a node for attrs/name
   node_view.op = op;
   node_view.name = op;
   node_view.attrs = entry.attrs;
-  ctx.node = &node_view;
-  ctx.inputs = std::move(input_values);
-  ctx.variables = store_;
-  ctx.rng = rng_;
-  entry.outputs = schema.kernel(ctx);
+  entry.outputs = run_kernel(schema, node_view, input_values, store_, rng_);
   return record(std::move(entry));
 }
 

@@ -10,7 +10,7 @@ namespace {
 // Resolve a box space to a concrete zero tensor (unknown dims -> 1).
 Tensor zeros_for(const SpacePtr& space) {
   const auto& box = static_cast<const BoxSpace&>(*space);
-  std::vector<int64_t> dims = box.full_shape().dims();
+  std::vector<int64_t> dims = box.full_shape().dims().to_vector();
   for (int64_t& d : dims) {
     if (d == kUnknownDim) d = 1;
   }

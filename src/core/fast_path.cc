@@ -39,7 +39,7 @@ std::shared_ptr<const CompiledPlan> FastPathProgram::lower(
         "fast-path step '" << step.label << "' output arity changed");
   }
 
-  CompiledPlan::Builder builder;
+  CompiledPlan::Builder builder(variables);
   const size_t tape_size = lctx.tape_size();
   std::vector<int> base_slot(tape_size, -1);
   for (size_t id = 0; id < tape_size; ++id) {
@@ -110,7 +110,7 @@ std::vector<Tensor> FastPathProgram::run(
   if (!arena) arena = std::make_unique<RunArena>();
   std::vector<Tensor> out;
   try {
-    out = plan->execute(*arena, inputs, variables, rng);
+    out = plan->execute(*arena, inputs, rng);
   } catch (...) {
     std::lock_guard<std::mutex> lock(state.mutex);
     state.free_arenas.push_back(std::move(arena));

@@ -4,6 +4,7 @@
 
 #include "core/build_context.h"
 #include "tensor/kernels.h"
+#include "tensor/tensor_io.h"
 #include "util/errors.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -170,7 +171,7 @@ std::vector<Tensor> GraphExecutor::execute_entry(
     ApiEntry& entry, const std::vector<Tensor>& inputs) {
   if (entry.prepared) {
     return run_static(*session_, *entry.prepared, entry.fetches,
-                      entry.feed_nodes, inputs);
+                      entry.feed_nodes, *entry.specialized, inputs);
   }
   return execute_imperative(entry, inputs);
 }
@@ -178,7 +179,7 @@ std::vector<Tensor> GraphExecutor::execute_entry(
 std::vector<Tensor> GraphExecutor::run_static(
     Session& session, Session::PreparedCall& prepared,
     const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
-    const std::vector<Tensor>& inputs) {
+    SpecializedMemo& memo, const std::vector<Tensor>& inputs) {
   // Batchable APIs run a plan specialized on the concrete feed shapes: same
   // fetches, but with a static memory plan for this exact batch size.
   // Non-batchable APIs (fixed signatures, no feeds) gain nothing and keep
@@ -187,10 +188,25 @@ std::vector<Tensor> GraphExecutor::run_static(
       !prepared.plan().feeds_batchable()) {
     return prepared.run(inputs);
   }
-  std::vector<Shape> shapes;
-  shapes.reserve(inputs.size());
-  for (const Tensor& t : inputs) shapes.push_back(t.shape());
-  return session.prepare_specialized(fetches, feed_nodes, shapes)->run(inputs);
+  std::shared_ptr<Session::PreparedCall> call;
+  {
+    std::lock_guard<std::mutex> lock(memo.mutex);
+    bool same = memo.call != nullptr && memo.shapes.size() == inputs.size();
+    for (size_t i = 0; same && i < inputs.size(); ++i) {
+      same = memo.shapes[i] == inputs[i].shape();
+    }
+    if (same) call = memo.call;
+  }
+  if (call == nullptr) {
+    std::vector<Shape> shapes;
+    shapes.reserve(inputs.size());
+    for (const Tensor& t : inputs) shapes.push_back(t.shape());
+    call = session.prepare_specialized(fetches, feed_nodes, shapes);
+    std::lock_guard<std::mutex> lock(memo.mutex);
+    memo.shapes = std::move(shapes);
+    memo.call = call;
+  }
+  return call->run(inputs);
 }
 
 std::vector<Tensor> GraphExecutor::execute_imperative(
@@ -479,7 +495,7 @@ std::vector<Tensor> GraphExecutor::execute_quantized(
   const QuantizedApi& qa = quantized_api_or_throw(api);
   ++execution_calls_;
   return run_static(*qa.session, *qa.prepared, qa.fetches, qa.feed_nodes,
-                    inputs);
+                    qa.specialized, inputs);
 }
 
 const std::map<std::string, float>& GraphExecutor::quantized_act_scales(
@@ -515,13 +531,8 @@ std::vector<uint8_t> GraphExecutor::export_variables() {
   }
   w.write_u32(static_cast<uint32_t>(names.size()));
   for (const std::string& name : names) {
-    const Tensor& t = variables_.get(name);
     w.write_string(name);
-    w.write_u8(static_cast<uint8_t>(t.dtype()));
-    w.write_u32(static_cast<uint32_t>(t.shape().rank()));
-    for (int64_t d : t.shape().dims()) w.write_i64(d);
-    w.write_u64(t.byte_size());
-    w.write_bytes(t.raw(), t.byte_size());
+    write_tensor(&w, variables_.get(name));
   }
   return w.take();
 }
@@ -535,15 +546,17 @@ void GraphExecutor::import_variables(const std::vector<uint8_t>& bytes) {
   uint32_t count = r.read_u32();
   for (uint32_t i = 0; i < count; ++i) {
     std::string name = r.read_string();
-    DType dtype = static_cast<DType>(r.read_u8());
-    uint32_t rank = r.read_u32();
-    std::vector<int64_t> dims(rank);
-    for (uint32_t d = 0; d < rank; ++d) dims[d] = r.read_i64();
-    uint64_t nbytes = r.read_u64();
-    Tensor t(dtype, Shape(dims));
-    RLG_REQUIRE(t.byte_size() == nbytes, "checkpoint size mismatch for '"
-                                             << name << "'");
-    r.read_bytes(t.mutable_raw(), nbytes);
+    // An entry is one wire tensor (tensor_io.h), validated before anything
+    // is allocated for it.
+    TensorHeader h;
+    try {
+      h = read_tensor_header(&r);
+    } catch (const SerializationError& e) {
+      throw ValueError("checkpoint entry '" + name + "' is corrupt: " +
+                       e.what());
+    }
+    Tensor t(h.dtype, h.shape);
+    r.read_bytes(t.mutable_raw(), h.bytes);
     variables_.set(name, std::move(t));
   }
   // Checkpoints carry only fp32 variables; rebuild any int8 shadows from

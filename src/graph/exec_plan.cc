@@ -25,28 +25,58 @@ RunArena::RunArena()
 {
 }
 
-void RunArena::begin_run(size_t num_slots) {
+void RunArena::begin_run(size_t num_slots, bool exclusive) {
   slots_.assign(num_slots, std::nullopt);
   if (refs_capacity_ < num_slots) {
     refs_ = std::make_unique<std::atomic<int32_t>[]>(num_slots);
     refs_capacity_ = num_slots;
   }
-  for (size_t i = 0; i < num_slots; ++i) {
-    refs_[i].store(0, std::memory_order_relaxed);
+  if (!exclusive) {
+    for (size_t i = 0; i < num_slots; ++i) {
+      refs_[i].store(0, std::memory_order_relaxed);
+    }
   }
   live_.store(0, std::memory_order_relaxed);
   peak_.store(0, std::memory_order_relaxed);
+  exclusive_ = exclusive;
+}
+
+void RunArena::count_live(int64_t delta) {
+  if (exclusive_) {
+    const int64_t live = live_.load(std::memory_order_relaxed) + delta;
+    live_.store(live, std::memory_order_relaxed);
+    if (live > peak_.load(std::memory_order_relaxed)) {
+      peak_.store(live, std::memory_order_relaxed);
+    }
+    return;
+  }
+  const int64_t live = live_.fetch_add(delta, std::memory_order_relaxed) + delta;
+  int64_t peak = peak_.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !peak_.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+  }
 }
 
 void RunArena::put(int slot, Tensor value, int32_t refs) {
   if (refs <= 0) return;  // nothing will ever read it
   slots_[static_cast<size_t>(slot)].emplace(std::move(value));
-  refs_[static_cast<size_t>(slot)].store(refs, std::memory_order_release);
-  int64_t live = live_.fetch_add(1, std::memory_order_relaxed) + 1;
-  int64_t peak = peak_.load(std::memory_order_relaxed);
-  while (live > peak &&
-         !peak_.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+  produced(slot, refs);
+}
+
+void RunArena::produced(int slot, int32_t refs) {
+  if (refs <= 0) {
+    slots_[static_cast<size_t>(slot)].reset();
+    return;
   }
+  if (!exclusive_) {
+    refs_[static_cast<size_t>(slot)].store(refs, std::memory_order_release);
+  }
+  count_live(1);
+}
+
+void RunArena::release(int slot) {
+  slots_[static_cast<size_t>(slot)].reset();
+  count_live(-1);
 }
 
 const Tensor& RunArena::get(int slot) const {
@@ -63,8 +93,7 @@ void RunArena::unref(int slot) {
   // consumer steps finish concurrently.
   if (refs_[static_cast<size_t>(slot)].fetch_sub(
           1, std::memory_order_acq_rel) == 1) {
-    slots_[static_cast<size_t>(slot)].reset();
-    live_.fetch_sub(1, std::memory_order_relaxed);
+    release(slot);
   }
 }
 
@@ -131,10 +160,13 @@ uint64_t fnv1a(const void* data, size_t n) {
   return h;
 }
 
-std::vector<uint64_t> checksum_inputs(const std::vector<Tensor>& inputs) {
+std::vector<uint64_t> checksum_inputs(const KernelContext& ctx) {
   std::vector<uint64_t> sums;
-  sums.reserve(inputs.size());
-  for (const Tensor& t : inputs) sums.push_back(fnv1a(t.raw(), t.byte_size()));
+  sums.reserve(static_cast<size_t>(ctx.num_inputs));
+  for (int i = 0; i < ctx.num_inputs; ++i) {
+    const Tensor& t = ctx.input(i);
+    sums.push_back(fnv1a(t.raw(), t.byte_size()));
+  }
   return sums;
 }
 
@@ -144,7 +176,8 @@ std::vector<uint64_t> checksum_inputs(const std::vector<Tensor>& inputs) {
 
 std::shared_ptr<CompiledPlan> CompiledPlan::compile(
     std::shared_ptr<const GraphDef> graph, const std::vector<Endpoint>& fetches,
-    const std::vector<int>& feed_nodes, bool fuse_patterns) {
+    const std::vector<int>& feed_nodes, VariableStore* variables,
+    bool fuse_patterns) {
   RLG_REQUIRE(graph != nullptr, "CompiledPlan::compile requires a graph");
   if (fuse_patterns) {
     PlanFusionResult fused = fuse_plan_patterns(*graph, fetches);
@@ -161,7 +194,7 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
       }
       return compile(
           std::shared_ptr<const GraphDef>(std::move(fused.graph)), new_fetches,
-          new_feeds, /*fuse_patterns=*/false);
+          new_feeds, variables, /*fuse_patterns=*/false);
     }
   }
   const int n = graph->num_nodes();
@@ -227,8 +260,6 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
       plan->unused_feed_names_.push_back(graph->node(id).name);
     }
   }
-  const OpRegistry& registry = OpRegistry::instance();
-
   // Dense slot layout: one slot per output of every scheduled node.
   std::vector<int> slot_base(static_cast<size_t>(n), -1);
   int next_slot = 0;
@@ -248,11 +279,7 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
                                        attr_tensor(node.attrs, "value"));
       continue;
     }
-    const OpSchema& schema = registry.lookup(node.op);
-    Step step;
-    step.kernel = &schema.kernel;  // resolved once
-    step.node = &node;
-    step.stateful = node.stateful || schema.stateful;
+    Step step = make_step(node, variables);
     step.input_slots.reserve(node.inputs.size());
     for (const Endpoint& e : node.inputs) {
       step.input_slots.push_back(slot_base[static_cast<size_t>(e.node)] +
@@ -306,9 +333,10 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
 std::shared_ptr<CompiledPlan> CompiledPlan::compile_specialized(
     std::shared_ptr<const GraphDef> graph, const std::vector<Endpoint>& fetches,
     const std::vector<int>& feed_nodes, const std::vector<Shape>& feed_shapes,
-    bool fuse_patterns) {
-  std::shared_ptr<CompiledPlan> plan =
-      compile(std::move(graph), fetches, feed_nodes, fuse_patterns);
+    VariableStore* variables, bool fuse_patterns) {
+  std::shared_ptr<CompiledPlan> plan = compile(std::move(graph), fetches,
+                                               feed_nodes, variables,
+                                               fuse_patterns);
   if (feed_shapes.size() != plan->feed_slots_.size()) return nullptr;
   for (size_t i = 0; i < feed_shapes.size(); ++i) {
     if (!feed_shapes[i].fully_specified() ||
@@ -345,12 +373,8 @@ int CompiledPlan::Builder::add_step(NodeDef node,
     RLG_REQUIRE(s >= 0 && s < num_slots_,
                 "plan step input slot " << s << " not yet produced");
   }
-  nodes_.push_back(std::move(node));
-  const OpSchema& schema = OpRegistry::instance().lookup(nodes_.back().op);
-  Step step;
-  step.kernel = &schema.kernel;
-  step.node = &nodes_.back();
-  step.stateful = nodes_.back().stateful || schema.stateful;
+  nodes_.push_back(std::move(node));  // deque: the address stays put
+  Step step = make_step(nodes_.back(), variables_);
   step.input_slots = input_slots;
   step.out_base = num_slots_;
   step.num_outputs = num_outputs;
@@ -379,6 +403,20 @@ std::shared_ptr<CompiledPlan> CompiledPlan::Builder::finish() {
   return plan;
 }
 
+CompiledPlan::Step CompiledPlan::make_step(const NodeDef& node,
+                                           VariableStore* variables) {
+  const OpSchema& schema = OpRegistry::instance().lookup(node.op);
+  Step step;
+  step.execute = schema.execute;
+  step.node = &node;
+  step.stateful = node.stateful || schema.stateful;
+  if (schema.init != nullptr) {
+    KernelInitContext init{node, variables, step.state};
+    schema.init(init);
+  }
+  return step;
+}
+
 void CompiledPlan::finalize_schedule(
     const std::vector<std::pair<int, int>>& control_edges) {
   initial_refs_.assign(num_slots_, 0);
@@ -386,6 +424,23 @@ void CompiledPlan::finalize_schedule(
     for (int s : step.input_slots) ++initial_refs_[static_cast<size_t>(s)];
   }
   for (int s : fetch_slots_) ++initial_refs_[static_cast<size_t>(s)];
+
+  // The serial loop's releases: each consumed slot goes right after its
+  // last reader; fetched slots stay for the caller.
+  std::vector<int> last_reader(num_slots_, -1);
+  for (size_t i = 0; i < steps_.size(); ++i) {
+    for (int s : steps_[i].input_slots) {
+      last_reader[static_cast<size_t>(s)] = static_cast<int>(i);
+    }
+  }
+  for (int s : fetch_slots_) last_reader[static_cast<size_t>(s)] = -1;
+  for (Step& step : steps_) step.last_use_slots.clear();
+  for (size_t s = 0; s < num_slots_; ++s) {
+    if (last_reader[s] >= 0) {
+      steps_[static_cast<size_t>(last_reader[s])].last_use_slots.push_back(
+          static_cast<int>(s));
+    }
+  }
 
   // Inter-op dependency structure. Data edges come from the producing step
   // of each input slot; control edges are passed in; the stateful chain
@@ -445,7 +500,6 @@ void CompiledPlan::finalize_schedule(
 
 std::vector<Tensor> CompiledPlan::execute(RunArena& arena,
                                           const std::vector<Tensor>& feed_values,
-                                          VariableStore* variables,
                                           Rng* rng) const {
   RLG_REQUIRE(feed_values.size() == feed_slots_.size(),
               "plan expects " << feed_slots_.size() << " feed values, got "
@@ -478,10 +532,19 @@ std::vector<Tensor> CompiledPlan::execute(RunArena& arena,
     }
   }
 
+  // Inter-op dispatch: the parallel scheduler only pays off when the step
+  // DAG actually has width and the process has pool threads. max_width_ is
+  // the compile-time bound, so chains (and RLGRAPH_NUM_THREADS=1) take the
+  // zero-overhead serial loop. The static arena plan is valid only under
+  // the serial schedule (its lifetime intervals assume steps retire in
+  // order), so parallel runs of a specialized plan use the pool as before.
+  const bool parallel =
+      max_width_ > 1 && steps_.size() >= 4 && global_parallelism() > 1;
+
   // Kernel output allocations inside this run draw from the arena's pool;
   // released intermediates recycle their buffers within the same run.
   BufferPoolScope pool_scope(&arena.pool());
-  arena.begin_run(num_slots_);
+  arena.begin_run(num_slots_, /*exclusive=*/!parallel);
   for (size_t i = 0; i < feed_values.size(); ++i) {
     if (feed_slots_[i] < 0) continue;  // feed unused by the fetched subgraph
     arena.put(feed_slots_[i], feed_values[i],
@@ -491,18 +554,10 @@ std::vector<Tensor> CompiledPlan::execute(RunArena& arena,
     arena.put(slot, value, initial_refs_[static_cast<size_t>(slot)]);
   }
 
-  // Inter-op dispatch: the parallel scheduler only pays off when the step
-  // DAG actually has width and the process has pool threads. max_width_ is
-  // the compile-time bound, so chains (and RLGRAPH_NUM_THREADS=1) take the
-  // zero-overhead serial loop. The static arena plan is valid only under
-  // the serial schedule (its lifetime intervals assume steps retire in
-  // order), so parallel runs of a specialized plan use the pool as before.
-  const bool parallel =
-      max_width_ > 1 && steps_.size() >= 4 && global_parallelism() > 1;
   if (parallel) {
-    execute_parallel(arena, variables, rng);
+    execute_parallel(arena, rng);
   } else {
-    execute_serial(arena, variables, rng);
+    execute_serial(arena, rng);
     if (arena_plan_ != nullptr) {
       counters_.planned_runs.fetch_add(1, std::memory_order_relaxed);
     }
@@ -534,27 +589,34 @@ bool CompiledPlan::feeds_batchable() const {
   return true;
 }
 
-void CompiledPlan::run_step(const Step& step, KernelContext& ctx,
-                            RunArena& arena, bool check_purity) const {
+void CompiledPlan::run_step(const Step& step, RunArena& arena, Rng* rng,
+                            bool check_purity) const {
   trace::TraceSpan kernel_span("kernel", step.node->op);
+  KernelContext ctx;
   ctx.node = step.node;
-  ctx.inputs.clear();
-  ctx.inputs.reserve(step.input_slots.size());
-  for (int slot : step.input_slots) ctx.inputs.push_back(arena.get(slot));
+  ctx.state = &step.state;
+  ctx.slots = arena.slots();
+  ctx.input_slots = step.input_slots.data();
+  ctx.num_inputs = static_cast<int>(step.input_slots.size());
+  ctx.out_base = step.out_base;
+  ctx.num_outputs = step.num_outputs;
+  ctx.rng = rng;
 
   std::vector<uint64_t> sums;
-  if (check_purity) sums = checksum_inputs(ctx.inputs);
+  if (check_purity) sums = checksum_inputs(ctx);
 
-  std::vector<Tensor> out = (*step.kernel)(ctx);
+  step.execute(ctx);
 
   if (kernel_span.active()) {
+    const std::optional<Tensor>& out0 = ctx.slots[step.out_base];
     kernel_span.set_detail(
         step.node->name +
-        (out.empty() ? std::string() : " -> " + out[0].shape().to_string()));
+        (out0.has_value() ? " -> " + out0->shape().to_string()
+                          : std::string()));
   }
 
   if (check_purity) {
-    std::vector<uint64_t> after = checksum_inputs(ctx.inputs);
+    std::vector<uint64_t> after = checksum_inputs(ctx);
     for (size_t i = 0; i < sums.size(); ++i) {
       RLG_CHECK_MSG(sums[i] == after[i],
                     "kernel for op '" << step.node->op << "' (node '"
@@ -565,28 +627,24 @@ void CompiledPlan::run_step(const Step& step, KernelContext& ctx,
     }
   }
 
-  RLG_CHECK_MSG(static_cast<int>(out.size()) == step.num_outputs,
-                "op " << step.node->op << " produced " << out.size()
-                      << " outputs, plan expects " << step.num_outputs);
   for (int j = 0; j < step.num_outputs; ++j) {
-    arena.put(step.out_base + j, std::move(out[static_cast<size_t>(j)]),
-              initial_refs_[static_cast<size_t>(step.out_base + j)]);
+    const int slot = step.out_base + j;
+    RLG_CHECK_MSG(ctx.slots[slot].has_value(),
+                  "op " << step.node->op << " produced no output " << j
+                        << ", plan expects " << step.num_outputs);
+    arena.produced(slot, initial_refs_[static_cast<size_t>(slot)]);
   }
-  for (int slot : step.input_slots) arena.unref(slot);
-  // Release the input handles now, not on the next step's clear(): a
-  // dead slot's buffer must be reference-free before the planned path
-  // stages it for the next tenant (and the pool path recycles sooner too).
-  ctx.inputs.clear();
+  if (arena.exclusive()) {
+    for (int slot : step.last_use_slots) arena.release(slot);
+  } else {
+    for (int slot : step.input_slots) arena.unref(slot);
+  }
 }
 
-void CompiledPlan::execute_serial(RunArena& arena, VariableStore* variables,
-                                  Rng* rng) const {
+void CompiledPlan::execute_serial(RunArena& arena, Rng* rng) const {
   const ArenaPlan* plan = arena_plan_.get();
   if (plan != nullptr) arena.begin_planned(*plan);
   const bool check_purity = arena.check_kernel_purity();
-  KernelContext ctx;  // reused across steps: one inputs allocation per run
-  ctx.variables = variables;
-  ctx.rng = rng;
   // One scope for the whole run: reset() per step keeps the entry vector's
   // capacity, so steady state stages ranges without allocating.
   PlannedAllocScope scope;
@@ -606,7 +664,7 @@ void CompiledPlan::execute_serial(RunArena& arena, VariableStore* variables,
         }
       }
     }
-    run_step(steps_[i], ctx, arena, check_purity);
+    run_step(steps_[i], arena, rng, check_purity);
   }
 }
 
@@ -768,7 +826,6 @@ void CompiledPlan::build_arena_plan() {
 struct CompiledPlan::Scheduler {
   const CompiledPlan* plan;
   RunArena* arena;
-  VariableStore* variables;
   Rng* rng;
   BufferPool* pool;
   bool check_purity;
@@ -783,10 +840,9 @@ struct CompiledPlan::Scheduler {
   int executing = 0;
   std::exception_ptr error;  // first failure wins
 
-  Scheduler(const CompiledPlan* p, RunArena* a, VariableStore* v, Rng* r)
+  Scheduler(const CompiledPlan* p, RunArena* a, Rng* r)
       : plan(p),
         arena(a),
-        variables(v),
         rng(r),
         pool(&a->pool()),
         check_purity(a->check_kernel_purity()),
@@ -815,10 +871,7 @@ struct CompiledPlan::Scheduler {
         // Helpers run on pool threads whose thread-local pool binding is
         // whatever ran there last; rebind to this run's arena pool.
         BufferPoolScope scope(pool);
-        KernelContext ctx;
-        ctx.variables = variables;
-        ctx.rng = rng;
-        plan->run_step(plan->steps_[static_cast<size_t>(idx)], ctx, *arena,
+        plan->run_step(plan->steps_[static_cast<size_t>(idx)], *arena, rng,
                        check_purity);
       } catch (...) {
         err = std::current_exception();
@@ -858,9 +911,8 @@ struct CompiledPlan::Scheduler {
   }
 };
 
-void CompiledPlan::execute_parallel(RunArena& arena, VariableStore* variables,
-                                    Rng* rng) const {
-  auto sched = std::make_shared<Scheduler>(this, &arena, variables, rng);
+void CompiledPlan::execute_parallel(RunArena& arena, Rng* rng) const {
+  auto sched = std::make_shared<Scheduler>(this, &arena, rng);
   ThreadPool& pool = global_pool();
   const size_t helpers = std::min(
       pool.size(),

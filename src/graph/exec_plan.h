@@ -3,7 +3,9 @@
 //
 // The paper's build process amortizes per-call overhead into a one-time
 // compilation step. A CompiledPlan is that step's output: every scheduled
-// node's kernel is resolved to a function pointer once, the dependency
+// node's kernel is resolved to a function pointer once, its attrs are
+// resolved by the op's init into a per-step POD (variable ops bind to their
+// store slots), the dependency
 // structure is flattened into dense value-slot indices (no per-run maps or
 // registry lookups), and per-slot last-use refcounts let intermediates be
 // released eagerly. Steady-state execution walks a flat step array against a
@@ -58,21 +60,33 @@ struct ArenaPlan {
 // used by at most one run at a time (Session keeps a small pool per plan),
 // but within that run the parallel inter-op scheduler may produce/consume
 // slots from several pool threads: refcounts are atomic, and distinct slots
-// are only ever touched by the steps that the dependency edges order.
+// are only ever touched by the steps that the dependency edges order. A
+// serial run is `exclusive`: one thread owns the arena, and the counters
+// are updated with plain loads and stores instead of locked instructions.
 class RunArena {
  public:
   RunArena();
 
   BufferPool& pool() { return pool_; }
 
-  void begin_run(size_t num_slots);
-  // Store a produced value. refs == 0 drops the value immediately (an
-  // output nothing consumes); the slot still counts toward the peak.
+  void begin_run(size_t num_slots, bool exclusive);
+  // Store a value that arrives from outside the steps (a feed or a baked
+  // constant). refs == 0 drops the value immediately.
   void put(int slot, Tensor value, int32_t refs);
+  // The run's value table: kernels read their inputs and construct their
+  // outputs in place here.
+  std::optional<Tensor>* slots() { return slots_.data(); }
+  // A kernel constructed `slot`: arm its refcount, or drop the value at
+  // once when nothing consumes it.
+  void produced(int slot, int32_t refs);
   const Tensor& get(int slot) const;
   // Consume one reference; the slot's tensor is released at zero so its
   // buffer can return to the pool mid-run.
   void unref(int slot);
+  // Release a slot whose last reader just ran (exclusive runs: the serial
+  // order fixes each slot's last reader at compile time, so no refcount).
+  void release(int slot);
+  bool exclusive() const { return exclusive_; }
   void end_run();
 
   // --- planned-arena state (shape-specialized plans) ------------------------
@@ -108,11 +122,14 @@ class RunArena {
   bool check_kernel_purity() const { return check_purity_; }
 
  private:
+  void count_live(int64_t delta);
+
   std::vector<std::optional<Tensor>> slots_;
   std::unique_ptr<std::atomic<int32_t>[]> refs_;
   size_t refs_capacity_ = 0;
   std::atomic<int64_t> live_{0};
   std::atomic<int64_t> peak_{0};
+  bool exclusive_ = true;
   bool check_purity_;
   BufferPool pool_;
 
@@ -131,9 +148,13 @@ class RunArena {
 class CompiledPlan {
  public:
   struct Step {
-    const KernelFn* kernel = nullptr;  // resolved once at compile time
-    const NodeDef* node = nullptr;     // attrs/name for the KernelContext
+    KernelExecuteFn execute = nullptr;  // resolved once at compile time
+    const NodeDef* node = nullptr;      // name/attrs for the KernelContext
+    KernelState state;                  // attrs resolved by the op's init
     std::vector<int> input_slots;
+    // Slots this step reads last in schedule order (fetched slots
+    // excluded): the serial loop releases them right after the step.
+    std::vector<int> last_use_slots;
     int out_base = 0;
     int num_outputs = 0;
     // Stateful steps (variable reads/writes, RNG, component state) execute
@@ -162,7 +183,10 @@ class CompiledPlan {
 
   // Compile the transitive closure of `fetches` over `graph`. `feed_nodes`
   // lists the placeholder nodes whose values arrive per run (in the
-  // positional order execute() expects). Throws ValueError if a feed
+  // positional order execute() expects). Each step's init runs here, so
+  // variable ops bind to their slots in `variables` (which must outlive the
+  // plan; null when the closure reads no variable). Throws ValueError if a
+  // feed
   // targets a non-placeholder node. A feed outside the fetched subgraph is
   // tolerated (its value is dropped; APIs may legitimately ignore an
   // argument) but recorded in unused_feed_names() so callers that consider
@@ -176,7 +200,7 @@ class CompiledPlan {
   static std::shared_ptr<CompiledPlan> compile(
       std::shared_ptr<const GraphDef> graph,
       const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
-      bool fuse_patterns = false);
+      VariableStore* variables, bool fuse_patterns = false);
 
   // Compile specialized on concrete feed shapes (one shape per feed node,
   // fully specified — in particular a concrete leading batch dimension N).
@@ -190,12 +214,17 @@ class CompiledPlan {
   static std::shared_ptr<CompiledPlan> compile_specialized(
       std::shared_ptr<const GraphDef> graph,
       const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
-      const std::vector<Shape>& feed_shapes, bool fuse_patterns = false);
+      const std::vector<Shape>& feed_shapes, VariableStore* variables,
+      bool fuse_patterns = false);
 
   // Assembles a plan directly from lowered steps (the fast-path recorder's
   // route into this layer; also used by tests).
   class Builder {
    public:
+    // Steps' variable ops bind to slots in `variables` (may be null when
+    // no step reads or writes a variable).
+    explicit Builder(VariableStore* variables = nullptr)
+        : variables_(variables) {}
     // Next positional plan input; returns its slot.
     int add_input();
     // A constant preloaded into its slot each run (shared handle, no
@@ -210,6 +239,7 @@ class CompiledPlan {
 
    private:
     friend class CompiledPlan;
+    VariableStore* variables_;
     int num_slots_ = 0;
     int num_inputs_ = 0;
     std::deque<NodeDef> nodes_;  // stable addresses for Step::node
@@ -225,7 +255,7 @@ class CompiledPlan {
   // not fed throws when its kernel executes.
   std::vector<Tensor> execute(RunArena& arena,
                               const std::vector<Tensor>& feed_values,
-                              VariableStore* variables, Rng* rng) const;
+                              Rng* rng) const;
 
   size_t num_steps() const { return steps_.size(); }
   size_t num_slots() const { return num_slots_; }
@@ -269,19 +299,18 @@ class CompiledPlan {
   void finalize_schedule(
       const std::vector<std::pair<int, int>>& control_edges);
 
+  // Resolve a step's kernel and run the op's init on it.
+  static Step make_step(const NodeDef& node, VariableStore* variables);
+
   // Execute one step against the arena (kernel call, purity check, output
-  // placement, input unref). `ctx` is caller-owned scratch (variables/rng
-  // preset) so the serial loop reuses one allocation. Thread-safe across
-  // distinct steps when each thread brings its own ctx.
-  void run_step(const Step& step, KernelContext& ctx, RunArena& arena,
+  // refcounts, input unref). Thread-safe across distinct steps.
+  void run_step(const Step& step, RunArena& arena, Rng* rng,
                 bool check_purity) const;
 
   // The serial loop. With an arena plan, each step's planned output ranges
   // are staged in a PlannedAllocScope before its kernel runs.
-  void execute_serial(RunArena& arena, VariableStore* variables,
-                      Rng* rng) const;
-  void execute_parallel(RunArena& arena, VariableStore* variables,
-                        Rng* rng) const;
+  void execute_serial(RunArena& arena, Rng* rng) const;
+  void execute_parallel(RunArena& arena, Rng* rng) const;
 
   // Shape-specialization pass: propagate the (now concrete) feed shapes
   // through the step DAG via each op's registered shape function, then run

@@ -50,7 +50,8 @@ const std::string& attr_string(const AttrMap& attrs, const std::string& key) {
   return *v;
 }
 
-std::vector<int64_t> attr_ints(const AttrMap& attrs, const std::string& key) {
+const std::vector<int64_t>& attr_ints(const AttrMap& attrs,
+                                     const std::string& key) {
   const auto* v = find_attr<std::vector<int64_t>>(attrs, key);
   RLG_REQUIRE(v != nullptr, "missing int-list attr '" << key << "'");
   return *v;
@@ -62,7 +63,7 @@ DType attr_dtype(const AttrMap& attrs, const std::string& key) {
   return *v;
 }
 
-Shape attr_shape(const AttrMap& attrs, const std::string& key) {
+const Shape& attr_shape(const AttrMap& attrs, const std::string& key) {
   const auto* v = find_attr<Shape>(attrs, key);
   RLG_REQUIRE(v != nullptr, "missing shape attr '" << key << "'");
   return *v;

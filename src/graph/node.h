@@ -43,9 +43,10 @@ double attr_double(const AttrMap& attrs, const std::string& key);
 double attr_double(const AttrMap& attrs, const std::string& key, double def);
 bool attr_bool(const AttrMap& attrs, const std::string& key, bool def);
 const std::string& attr_string(const AttrMap& attrs, const std::string& key);
-std::vector<int64_t> attr_ints(const AttrMap& attrs, const std::string& key);
+const std::vector<int64_t>& attr_ints(const AttrMap& attrs,
+                                     const std::string& key);
 DType attr_dtype(const AttrMap& attrs, const std::string& key);
-Shape attr_shape(const AttrMap& attrs, const std::string& key);
+const Shape& attr_shape(const AttrMap& attrs, const std::string& key);
 const Tensor& attr_tensor(const AttrMap& attrs, const std::string& key);
 
 // Signature of a custom (component-registered) kernel: inputs -> outputs.

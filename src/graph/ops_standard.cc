@@ -2,8 +2,13 @@
 //
 // Each op gets a shape-inference function (works on possibly-partial shapes,
 // used during the graph build) and a kernel (works on concrete tensors, used
-// by the session and the define-by-run backend). Gradient rules are
-// registered separately in backend/grad_rules.cc.
+// by the session and the define-by-run backend). A kernel is a plain
+// execute function, plus an optional init that resolves the node's attrs
+// into the step's KernelState once per compiled plan, so execute reads a
+// POD instead of looking attrs up by name. Gradient rules are registered
+// separately in backend/grad_rules.cc.
+#include <string_view>
+
 #include "graph/op_schema.h"
 #include "tensor/kernels.h"
 #include "util/errors.h"
@@ -43,21 +48,88 @@ OpSignature float_unary_sig(const SIC& c) {
   return single(DType::kFloat32, c.input_shapes[0]);
 }
 
-// Kernel adapters.
-KernelFn unary(Tensor (*fn)(const Tensor&)) {
-  return [fn](KernelContext& k) { return std::vector<Tensor>{fn(k.inputs[0])}; };
+// --- kernel helpers ---------------------------------------------------------
+
+template <Tensor (*F)(const Tensor&)>
+void unary(KernelContext& k) {
+  k.set_output(0, F(k.input(0)));
 }
 
-KernelFn binary(Tensor (*fn)(const Tensor&, const Tensor&)) {
-  return [fn](KernelContext& k) {
-    return std::vector<Tensor>{fn(k.inputs[0], k.inputs[1])};
-  };
+template <Tensor (*F)(const Tensor&, const Tensor&)>
+void binary(KernelContext& k) {
+  k.set_output(0, F(k.input(0), k.input(1)));
 }
 
-void reg(OpRegistry& r, std::string name, ShapeFn shape_fn, KernelFn kernel,
+// Per-step states that the inits below resolve. Pointers refer into the
+// node's attrs (or the variable store), which outlive every plan step.
+struct VariableAttrs {
+  VariableStore::Slot* slot;
+};
+struct TensorAttrs {
+  const Tensor* value;
+};
+struct ShapeAttrs {
+  const Shape* shape;
+};
+struct StringAttrs {
+  const std::string* value;
+};
+struct ConvAttrs {
+  const Shape* shape;  // backprop ops: the input or filter shape
+  int stride;
+  bool same_padding;
+  kernels::FusedActivation activation;
+};
+struct RealAttrs {
+  double a;
+  double b;
+};
+struct IntAttrs {
+  int64_t a;
+  int64_t b;
+};
+struct ReduceAttrs {
+  int axis;
+  bool keep_dims;
+};
+struct DTypeAttrs {
+  DType dtype;
+};
+struct SplitAttrs {
+  const std::vector<int64_t>* sizes;
+  int axis;
+};
+
+void init_variable(KernelInitContext& c) {
+  c.state.emplace<VariableAttrs>(&c.variable_slot());
+}
+
+// Conv attrs, plus the shape attr `shape_key` of the backprop ops.
+ConvAttrs conv_attrs(const AttrMap& a, const char* shape_key = nullptr) {
+  return ConvAttrs{shape_key != nullptr ? &attr_shape(a, shape_key) : nullptr,
+                   static_cast<int>(attr_int(a, "stride")),
+                   attr_bool(a, "same_padding", false),
+                   kernels::FusedActivation::kNone};
+}
+
+void init_conv(KernelInitContext& c) {
+  c.state.emplace<ConvAttrs>(conv_attrs(c.node.attrs));
+}
+
+void init_axis(KernelInitContext& c) {
+  c.state.emplace<IntAttrs>(attr_int(c.node.attrs, "axis"), int64_t{0});
+}
+
+void reg(OpRegistry& r, std::string name, ShapeFn shape_fn,
+         KernelExecuteFn execute, KernelInitFn init = nullptr,
          bool stateful = false) {
-  r.register_op(OpSchema{std::move(name), std::move(shape_fn),
-                         std::move(kernel), stateful});
+  OpSchema schema;
+  schema.name = std::move(name);
+  schema.shape_fn = std::move(shape_fn);
+  schema.init = init;
+  schema.execute = execute;
+  schema.stateful = stateful;
+  r.register_op(std::move(schema));
 }
 
 // --- op registrations -------------------------------------------------------
@@ -71,7 +143,7 @@ void register_io_ops(OpRegistry& r) {
         return single(attr_dtype(c.node->attrs, "dtype"),
                       attr_shape(c.node->attrs, "shape"));
       },
-      [](KernelContext& k) -> std::vector<Tensor> {
+      [](KernelContext& k) {
         throw ValueError("placeholder '" + k.node->name +
                          "' was not fed for this execution");
       });
@@ -83,7 +155,10 @@ void register_io_ops(OpRegistry& r) {
         return single(v.dtype(), v.shape());
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{attr_tensor(k.node->attrs, "value")};
+        k.set_output(0, *k.attrs<TensorAttrs>().value);
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<TensorAttrs>(&attr_tensor(c.node.attrs, "value"));
       });
 
   // Variable read.
@@ -94,37 +169,36 @@ void register_io_ops(OpRegistry& r) {
                       attr_shape(c.node->attrs, "shape"));
       },
       [](KernelContext& k) {
-        const std::string& name = attr_string(k.node->attrs, "var_name");
-        return std::vector<Tensor>{k.variables->get(name)};
+        k.set_output(0, k.attrs<VariableAttrs>().slot->value);
       },
-      /*stateful=*/true);
+      init_variable, /*stateful=*/true);
 
   // Assign(value) -> value; writes the variable.
   reg(
       r, "Assign", [](const SIC& c) { return same_as_input(c); },
       [](KernelContext& k) {
-        const std::string& name = attr_string(k.node->attrs, "var_name");
-        k.variables->set(name, k.inputs[0].clone());
-        return std::vector<Tensor>{k.inputs[0]};
+        VariableStore::assign(*k.attrs<VariableAttrs>().slot,
+                              k.input(0).clone());
+        k.set_output(0, k.input(0));
       },
-      /*stateful=*/true);
+      init_variable, /*stateful=*/true);
 
   // AssignAdd(delta) -> new value.
   reg(
       r, "AssignAdd", [](const SIC& c) { return same_as_input(c); },
       [](KernelContext& k) {
-        const std::string& name = attr_string(k.node->attrs, "var_name");
-        Tensor updated = kernels::add(k.variables->get(name), k.inputs[0]);
-        k.variables->set(name, updated);
-        return std::vector<Tensor>{updated};
+        VariableStore::Slot& slot = *k.attrs<VariableAttrs>().slot;
+        Tensor updated = kernels::add(slot.value, k.input(0));
+        VariableStore::assign(slot, updated);
+        k.set_output(0, std::move(updated));
       },
-      /*stateful=*/true);
+      init_variable, /*stateful=*/true);
 
   reg(r, "Identity", [](const SIC& c) { return same_as_input(c); },
-      [](KernelContext& k) { return std::vector<Tensor>{k.inputs[0]}; });
+      [](KernelContext& k) { k.set_output(0, k.input(0)); });
 
   reg(r, "StopGradient", [](const SIC& c) { return same_as_input(c); },
-      [](KernelContext& k) { return std::vector<Tensor>{k.inputs[0]}; });
+      [](KernelContext& k) { k.set_output(0, k.input(0)); });
 
   // Group: synchronization point over any number of inputs; returns the
   // number of grouped inputs as an int scalar.
@@ -132,65 +206,78 @@ void register_io_ops(OpRegistry& r) {
       r, "Group",
       [](const SIC&) { return single(DType::kInt32, Shape{}); },
       [](KernelContext& k) {
-        return std::vector<Tensor>{
-            Tensor::scalar_int(static_cast<int32_t>(k.inputs.size()))};
+        k.set_output(0, Tensor::scalar_int(k.num_inputs));
       },
-      /*stateful=*/true);
+      nullptr, /*stateful=*/true);
 
   // Custom stateful component op; kernel and output signature are attached
   // to the node directly by the build context.
-  reg(
-      r, "CustomStateful",
-      [](const SIC& c) -> OpSignature {
-        // Signature is set explicitly when the node is created.
-        OpSignature sig;
-        sig.dtypes = c.node->out_dtypes;
-        sig.shapes = c.node->out_shapes;
-        RLG_REQUIRE(!sig.dtypes.empty(),
-                    "CustomStateful node missing explicit signature");
-        return sig;
-      },
-      [](KernelContext& k) {
-        RLG_REQUIRE(k.node->custom_kernel != nullptr,
-                    "CustomStateful node '" << k.node->name
-                                            << "' has no kernel");
-        return k.node->custom_kernel(k.inputs);
-      },
-      /*stateful=*/true);
+  OpSchema custom;
+  custom.name = "CustomStateful";
+  custom.shape_fn = [](const SIC& c) -> OpSignature {
+    // Signature is set explicitly when the node is created.
+    OpSignature sig;
+    sig.dtypes = c.node->out_dtypes;
+    sig.shapes = c.node->out_shapes;
+    RLG_REQUIRE(!sig.dtypes.empty(),
+                "CustomStateful node missing explicit signature");
+    return sig;
+  };
+  custom.execute = [](KernelContext& k) {
+    RLG_REQUIRE(k.node->custom_kernel != nullptr,
+                "CustomStateful node '" << k.node->name << "' has no kernel");
+    // Component closures take and return whole tensor lists.
+    std::vector<Tensor> inputs;
+    inputs.reserve(static_cast<size_t>(k.num_inputs));
+    for (int i = 0; i < k.num_inputs; ++i) inputs.push_back(k.input(i));
+    std::vector<Tensor> out = k.node->custom_kernel(inputs);
+    RLG_CHECK_MSG(static_cast<int>(out.size()) == k.num_outputs,
+                  "custom op '" << k.node->name << "' produced " << out.size()
+                                << " outputs, expected " << k.num_outputs);
+    for (size_t j = 0; j < out.size(); ++j) {
+      k.set_output(static_cast<int>(j), std::move(out[j]));
+    }
+  };
+  custom.num_outputs = [](const NodeDef& node) { return node.num_outputs(); };
+  custom.stateful = true;
+  r.register_op(std::move(custom));
 }
 
 void register_math_ops(OpRegistry& r) {
-  reg(r, "Add", broadcast_sig, binary(&kernels::add));
-  reg(r, "Sub", broadcast_sig, binary(&kernels::sub));
-  reg(r, "Mul", broadcast_sig, binary(&kernels::mul));
-  reg(r, "Div", broadcast_sig, binary(&kernels::div));
-  reg(r, "Minimum", broadcast_sig, binary(&kernels::minimum));
-  reg(r, "Maximum", broadcast_sig, binary(&kernels::maximum));
-  reg(r, "Equal", compare_sig, binary(&kernels::equal));
-  reg(r, "Greater", compare_sig, binary(&kernels::greater));
-  reg(r, "Less", compare_sig, binary(&kernels::less));
-  reg(r, "LogicalAnd", compare_sig, binary(&kernels::logical_and));
-  reg(r, "LogicalOr", compare_sig, binary(&kernels::logical_or));
+  reg(r, "Add", broadcast_sig, binary<&kernels::add>);
+  reg(r, "Sub", broadcast_sig, binary<&kernels::sub>);
+  reg(r, "Mul", broadcast_sig, binary<&kernels::mul>);
+  reg(r, "Div", broadcast_sig, binary<&kernels::div>);
+  reg(r, "Minimum", broadcast_sig, binary<&kernels::minimum>);
+  reg(r, "Maximum", broadcast_sig, binary<&kernels::maximum>);
+  reg(r, "Equal", compare_sig, binary<&kernels::equal>);
+  reg(r, "Greater", compare_sig, binary<&kernels::greater>);
+  reg(r, "Less", compare_sig, binary<&kernels::less>);
+  reg(r, "LogicalAnd", compare_sig, binary<&kernels::logical_and>);
+  reg(r, "LogicalOr", compare_sig, binary<&kernels::logical_or>);
   reg(r, "LogicalNot", [](const SIC& c) { return same_as_input(c); },
-      unary(&kernels::logical_not));
+      unary<&kernels::logical_not>);
 
-  reg(r, "Neg", float_unary_sig, unary(&kernels::neg));
-  reg(r, "Exp", float_unary_sig, unary(&kernels::exp));
-  reg(r, "Log", float_unary_sig, unary(&kernels::log));
-  reg(r, "Sqrt", float_unary_sig, unary(&kernels::sqrt));
-  reg(r, "Square", float_unary_sig, unary(&kernels::square));
-  reg(r, "Abs", float_unary_sig, unary(&kernels::abs));
-  reg(r, "Relu", float_unary_sig, unary(&kernels::relu));
-  reg(r, "Sigmoid", float_unary_sig, unary(&kernels::sigmoid));
-  reg(r, "Tanh", float_unary_sig, unary(&kernels::tanh));
-  reg(r, "Softplus", float_unary_sig, unary(&kernels::softplus));
+  reg(r, "Neg", float_unary_sig, unary<&kernels::neg>);
+  reg(r, "Exp", float_unary_sig, unary<&kernels::exp>);
+  reg(r, "Log", float_unary_sig, unary<&kernels::log>);
+  reg(r, "Sqrt", float_unary_sig, unary<&kernels::sqrt>);
+  reg(r, "Square", float_unary_sig, unary<&kernels::square>);
+  reg(r, "Abs", float_unary_sig, unary<&kernels::abs>);
+  reg(r, "Relu", float_unary_sig, unary<&kernels::relu>);
+  reg(r, "Sigmoid", float_unary_sig, unary<&kernels::sigmoid>);
+  reg(r, "Tanh", float_unary_sig, unary<&kernels::tanh>);
+  reg(r, "Softplus", float_unary_sig, unary<&kernels::softplus>);
 
   reg(
       r, "Clip", float_unary_sig,
       [](KernelContext& k) {
-        return std::vector<Tensor>{
-            kernels::clip(k.inputs[0], attr_double(k.node->attrs, "lo"),
-                          attr_double(k.node->attrs, "hi"))};
+        const RealAttrs& a = k.attrs<RealAttrs>();
+        k.set_output(0, kernels::clip(k.input(0), a.a, a.b));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<RealAttrs>(attr_double(c.node.attrs, "lo"),
+                                   attr_double(c.node.attrs, "hi"));
       });
 
   reg(
@@ -205,19 +292,18 @@ void register_math_ops(OpRegistry& r) {
         return single(c.input_dtypes[1], c.input_shapes[1]);
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{
-            kernels::where(k.inputs[0], k.inputs[1], k.inputs[2])};
+        k.set_output(0, kernels::where(k.input(0), k.input(1), k.input(2)));
       });
 
   // AddN: sum of >= 1 same-shaped tensors.
   reg(
       r, "AddN", [](const SIC& c) { return same_as_input(c); },
       [](KernelContext& k) {
-        Tensor acc = k.inputs[0];
-        for (size_t i = 1; i < k.inputs.size(); ++i) {
-          acc = kernels::add(acc, k.inputs[i]);
+        Tensor acc = k.input(0);
+        for (int i = 1; i < k.num_inputs; ++i) {
+          acc = kernels::add(acc, k.input(i));
         }
-        return std::vector<Tensor>{acc};
+        k.set_output(0, std::move(acc));
       });
 
   // FusedElementwise: chain of parameter-free float elementwise ops applied
@@ -230,41 +316,72 @@ void register_math_ops(OpRegistry& r) {
   reg(
       r, "FusedElementwise", float_unary_sig,
       [](KernelContext& k) {
-        const std::string& chain = attr_string(k.node->attrs, "ops");
-        std::vector<kernels::EwiseLink> links;
+        // Resolved on the stack, so a steady-state call allocates only its
+        // output (very long chains spill to the heap).
+        constexpr size_t kInline = 16;
+        kernels::EwiseStep inline_steps[kInline];
+        std::vector<kernels::EwiseStep> long_chain;
+        const Tensor* inline_extras[kInline];
+        std::vector<const Tensor*> many_extras;
+        const Tensor** extras = inline_extras;
+        const size_t num_extras = static_cast<size_t>(k.num_inputs - 1);
+        if (num_extras > kInline) {
+          many_extras.resize(num_extras);
+          extras = many_extras.data();
+        }
+        for (size_t i = 0; i < num_extras; ++i) {
+          extras[i] = &k.input(static_cast<int>(i) + 1);
+        }
+        const std::string_view chain = *k.attrs<StringAttrs>().value;
+        size_t num_steps = 0;
         int next_extra = 0;
         size_t pos = 0;
         while (pos < chain.size()) {
           size_t comma = chain.find(',', pos);
-          std::string entry = chain.substr(
-              pos, comma == std::string::npos ? std::string::npos : comma - pos);
-          pos = comma == std::string::npos ? chain.size() : comma + 1;
-          kernels::EwiseLink link;
-          size_t colon = entry.find(':');
-          if (colon == std::string::npos) {
-            link.op = entry;
+          if (comma == std::string_view::npos) comma = chain.size();
+          const std::string_view entry = chain.substr(pos, comma - pos);
+          pos = comma + 1;
+          const size_t colon = entry.find(':');
+          kernels::EwiseStep step;
+          if (colon == std::string_view::npos) {
+            step = kernels::ewise_step(entry, false, true, -1, num_extras);
           } else {
-            link.op = entry.substr(0, colon);
-            std::string side = entry.substr(colon + 1);
+            const std::string_view side = entry.substr(colon + 1);
             RLG_REQUIRE(side == "l" || side == "r",
-                        "FusedElementwise: bad side marker in \"" << entry
-                                                                  << "\"");
-            link.binary = true;
-            link.chain_left = side == "l";
-            link.extra = next_extra++;
+                        "FusedElementwise: bad side marker in \""
+                            << entry << "\"");
+            step = kernels::ewise_step(entry.substr(0, colon), true,
+                                       side == "l", next_extra++,
+                                       num_extras);
           }
-          links.push_back(std::move(link));
+          if (num_steps == kInline) {
+            long_chain.assign(inline_steps, inline_steps + kInline);
+          }
+          if (num_steps < kInline) {
+            inline_steps[num_steps] = step;
+          } else {
+            long_chain.push_back(step);
+          }
+          ++num_steps;
         }
         RLG_REQUIRE(
-            k.inputs.size() == static_cast<size_t>(next_extra) + 1,
+            k.num_inputs == next_extra + 1,
             "FusedElementwise: chain needs " << next_extra + 1 << " inputs, got "
-                                             << k.inputs.size());
-        std::vector<Tensor> extras(k.inputs.begin() + 1, k.inputs.end());
-        return std::vector<Tensor>{
-            kernels::fused_elementwise(k.inputs[0], extras, links)};
+                                             << k.num_inputs);
+        k.set_output(0, kernels::fused_elementwise(
+                            k.input(0), extras, num_extras,
+                            num_steps <= kInline ? inline_steps
+                                                 : long_chain.data(),
+                            num_steps));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<StringAttrs>(&attr_string(c.node.attrs, "ops"));
       });
 
   // Int8 quantization ops (produced by quantize_inference_graph).
+  auto init_scale = [](KernelInitContext& c) {
+    c.state.emplace<RealAttrs>(attr_double(c.node.attrs, "scale"), 0.0);
+  };
   reg(
       r, "QuantizeLinear",
       [](const SIC& c) {
@@ -273,10 +390,11 @@ void register_math_ops(OpRegistry& r) {
         return single(DType::kInt8, c.input_shapes[0]);
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::quantize_linear(
-            k.inputs[0],
-            static_cast<float>(attr_double(k.node->attrs, "scale")))};
-      });
+        k.set_output(0, kernels::quantize_linear(
+                            k.input(0),
+                            static_cast<float>(k.attrs<RealAttrs>().a)));
+      },
+      init_scale);
 
   reg(
       r, "DequantizeLinear",
@@ -286,10 +404,11 @@ void register_math_ops(OpRegistry& r) {
         return single(DType::kFloat32, c.input_shapes[0]);
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::dequantize_linear(
-            k.inputs[0],
-            static_cast<float>(attr_double(k.node->attrs, "scale")))};
-      });
+        k.set_output(0, kernels::dequantize_linear(
+                            k.input(0),
+                            static_cast<float>(k.attrs<RealAttrs>().a)));
+      },
+      init_scale);
 }
 
 void register_linalg_ops(OpRegistry& r) {
@@ -309,7 +428,7 @@ void register_linalg_ops(OpRegistry& r) {
         }
         return single(DType::kFloat32, Shape{a.dim(0), b.dim(1)});
       },
-      binary(&kernels::matmul));
+      binary<&kernels::matmul>);
 
   // FusedDense: act(x @ w + bias), one dispatch. Produced by the plan-level
   // pattern-fusion pass; has no gradient rule by design (fusion only runs on
@@ -337,10 +456,15 @@ void register_linalg_ops(OpRegistry& r) {
         return single(DType::kFloat32, Shape{a.dim(0), b.dim(1)});
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::fused_dense(
-            k.inputs[0], k.inputs[1], k.inputs[2],
-            kernels::fused_activation_from_string(
-                attr_string(k.node->attrs, "activation")))};
+        k.set_output(0, kernels::fused_dense(
+                            k.input(0), k.input(1), k.input(2),
+                            k.attrs<ConvAttrs>().activation));
+      },
+      [](KernelInitContext& c) {
+        ConvAttrs a{};
+        a.activation = kernels::fused_activation_from_string(
+            attr_string(c.node.attrs, "activation"));
+        c.state.emplace<ConvAttrs>(a);
       });
 
   // MatMulInt8: int8 x int8 -> float32 with int32 accumulation and a single
@@ -365,9 +489,12 @@ void register_linalg_ops(OpRegistry& r) {
         return single(DType::kFloat32, Shape{a.dim(0), b.dim(1)});
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::matmul_int8(
-            k.inputs[0], k.inputs[1],
-            static_cast<float>(attr_double(k.node->attrs, "rescale")))};
+        k.set_output(0, kernels::matmul_int8(
+                            k.input(0), k.input(1),
+                            static_cast<float>(k.attrs<RealAttrs>().a)));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<RealAttrs>(attr_double(c.node.attrs, "rescale"), 0.0);
       });
 
   reg(
@@ -377,7 +504,7 @@ void register_linalg_ops(OpRegistry& r) {
         RLG_REQUIRE(a.rank() == 2, "Transpose2D requires rank 2");
         return single(DType::kFloat32, Shape{a.dim(1), a.dim(0)});
       },
-      unary(&kernels::transpose2d));
+      unary<&kernels::transpose2d>);
 
   reg(
       r, "Conv2D",
@@ -402,11 +529,11 @@ void register_linalg_ops(OpRegistry& r) {
         return single(DType::kFloat32, Shape{in.dim(0), oh, ow, f.dim(3)});
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::conv2d(
-            k.inputs[0], k.inputs[1],
-            static_cast<int>(attr_int(k.node->attrs, "stride")),
-            attr_bool(k.node->attrs, "same_padding", false))};
-      });
+        const ConvAttrs& a = k.attrs<ConvAttrs>();
+        k.set_output(0, kernels::conv2d(k.input(0), k.input(1), a.stride,
+                                        a.same_padding));
+      },
+      init_conv);
 
   // FusedConv2D: act(conv2d(x, f) + bias[Cout]), one dispatch. Inference-only
   // (no gradient rule), like FusedDense.
@@ -440,12 +567,16 @@ void register_linalg_ops(OpRegistry& r) {
         return single(DType::kFloat32, Shape{in.dim(0), oh, ow, f.dim(3)});
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::fused_conv2d(
-            k.inputs[0], k.inputs[1], k.inputs[2],
-            static_cast<int>(attr_int(k.node->attrs, "stride")),
-            attr_bool(k.node->attrs, "same_padding", false),
-            kernels::fused_activation_from_string(
-                attr_string(k.node->attrs, "activation")))};
+        const ConvAttrs& a = k.attrs<ConvAttrs>();
+        k.set_output(0, kernels::fused_conv2d(k.input(0), k.input(1),
+                                              k.input(2), a.stride,
+                                              a.same_padding, a.activation));
+      },
+      [](KernelInitContext& c) {
+        ConvAttrs a = conv_attrs(c.node.attrs);
+        a.activation = kernels::fused_activation_from_string(
+            attr_string(c.node.attrs, "activation"));
+        c.state.emplace<ConvAttrs>(a);
       });
 
   // Gradient kernels exposed as ops so the autodiff graph stays uniform.
@@ -455,16 +586,19 @@ void register_linalg_ops(OpRegistry& r) {
         return single(DType::kFloat32, attr_shape(c.node->attrs, "input_shape"));
       },
       [](KernelContext& k) {
-        Shape in_shape = attr_shape(k.node->attrs, "input_shape");
+        const ConvAttrs& a = k.attrs<ConvAttrs>();
+        Shape in_shape = *a.shape;
         // The symbolic input shape may have an unknown batch; take it from
         // the gradient tensor at runtime.
         if (in_shape.rank() > 0 && in_shape.dim(0) == kUnknownDim) {
-          in_shape = in_shape.with_dim(0, k.inputs[1].shape().dim(0));
+          in_shape = in_shape.with_dim(0, k.input(1).shape().dim(0));
         }
-        return std::vector<Tensor>{kernels::conv2d_backprop_input(
-            in_shape, k.inputs[0], k.inputs[1],
-            static_cast<int>(attr_int(k.node->attrs, "stride")),
-            attr_bool(k.node->attrs, "same_padding", false))};
+        k.set_output(0, kernels::conv2d_backprop_input(
+                            in_shape, k.input(0), k.input(1), a.stride,
+                            a.same_padding));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<ConvAttrs>(conv_attrs(c.node.attrs, "input_shape"));
       });
 
   reg(
@@ -474,10 +608,13 @@ void register_linalg_ops(OpRegistry& r) {
                       attr_shape(c.node->attrs, "filter_shape"));
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::conv2d_backprop_filter(
-            k.inputs[0], attr_shape(k.node->attrs, "filter_shape"),
-            k.inputs[1], static_cast<int>(attr_int(k.node->attrs, "stride")),
-            attr_bool(k.node->attrs, "same_padding", false))};
+        const ConvAttrs& a = k.attrs<ConvAttrs>();
+        k.set_output(0, kernels::conv2d_backprop_filter(
+                            k.input(0), *a.shape, k.input(1), a.stride,
+                            a.same_padding));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<ConvAttrs>(conv_attrs(c.node.attrs, "filter_shape"));
       });
 }
 
@@ -498,9 +635,14 @@ Shape reduce_shape(const Shape& in, int64_t axis, bool keep_dims) {
   return Shape(dims);
 }
 
+template <Tensor (*F)(const Tensor&, int, bool)>
+void reduce(KernelContext& k) {
+  const ReduceAttrs& a = k.attrs<ReduceAttrs>();
+  k.set_output(0, F(k.input(0), a.axis, a.keep_dims));
+}
+
 void register_reduce_ops(OpRegistry& r) {
-  auto make = [&r](const std::string& name,
-                   Tensor (*fn)(const Tensor&, int, bool)) {
+  auto make = [&r](const std::string& name, KernelExecuteFn execute) {
     reg(
         r, name,
         [](const SIC& c) {
@@ -510,16 +652,16 @@ void register_reduce_ops(OpRegistry& r) {
                                      attr_bool(c.node->attrs, "keep_dims",
                                                false)));
         },
-        [fn](KernelContext& k) {
-          return std::vector<Tensor>{
-              fn(k.inputs[0],
-                 static_cast<int>(attr_int(k.node->attrs, "axis", -1)),
-                 attr_bool(k.node->attrs, "keep_dims", false))};
+        execute,
+        [](KernelInitContext& c) {
+          c.state.emplace<ReduceAttrs>(
+              static_cast<int>(attr_int(c.node.attrs, "axis", -1)),
+              attr_bool(c.node.attrs, "keep_dims", false));
         });
   };
-  make("ReduceSum", &kernels::reduce_sum);
-  make("ReduceMean", &kernels::reduce_mean);
-  make("ReduceMax", &kernels::reduce_max);
+  make("ReduceSum", reduce<&kernels::reduce_sum>);
+  make("ReduceMean", reduce<&kernels::reduce_mean>);
+  make("ReduceMax", reduce<&kernels::reduce_max>);
 
   // SumToShape: gradient helper reducing a broadcast result to a target
   // (possibly partial; unknown dims resolved at runtime from the input).
@@ -529,22 +671,23 @@ void register_reduce_ops(OpRegistry& r) {
         return single(DType::kFloat32, attr_shape(c.node->attrs, "target"));
       },
       [](KernelContext& k) {
-        Shape target = attr_shape(k.node->attrs, "target");
+        Shape target = *k.attrs<ShapeAttrs>().shape;
         // Resolve unknown dims from the runtime input shape (aligned right).
-        const Shape& in = k.inputs[0].shape();
-        std::vector<int64_t> dims = target.dims();
-        int off = in.rank() - target.rank();
-        for (size_t i = 0; i < dims.size(); ++i) {
-          if (dims[i] == kUnknownDim) {
-            dims[i] = in.dim(static_cast<int>(i) + off);
+        const Shape& in = k.input(0).shape();
+        const int off = in.rank() - target.rank();
+        for (int i = 0; i < target.rank(); ++i) {
+          if (target.dim(i) == kUnknownDim) {
+            target = target.with_dim(i, in.dim(i + off));
           }
         }
-        return std::vector<Tensor>{
-            kernels::sum_to_shape(k.inputs[0], Shape(dims))};
+        k.set_output(0, kernels::sum_to_shape(k.input(0), target));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<ShapeAttrs>(&attr_shape(c.node.attrs, "target"));
       });
 
-  reg(r, "Softmax", float_unary_sig, unary(&kernels::softmax));
-  reg(r, "LogSoftmax", float_unary_sig, unary(&kernels::log_softmax));
+  reg(r, "Softmax", float_unary_sig, unary<&kernels::softmax>);
+  reg(r, "LogSoftmax", float_unary_sig, unary<&kernels::log_softmax>);
 }
 
 void register_index_ops(OpRegistry& r) {
@@ -553,10 +696,9 @@ void register_index_ops(OpRegistry& r) {
       [](const SIC& c) {
         const Shape& in = c.input_shapes[0];
         RLG_REQUIRE(in.rank() >= 1, "ArgMax requires rank >= 1");
-        std::vector<int64_t> dims(in.dims().begin(), in.dims().end() - 1);
-        return single(DType::kInt32, Shape(dims));
+        return single(DType::kInt32, in.remove_dim(in.rank() - 1));
       },
-      unary(&kernels::argmax));
+      unary<&kernels::argmax>);
 
   reg(
       r, "OneHot",
@@ -566,8 +708,10 @@ void register_index_ops(OpRegistry& r) {
                       c.input_shapes[0].concat(Shape{depth}));
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{
-            kernels::one_hot(k.inputs[0], attr_int(k.node->attrs, "depth"))};
+        k.set_output(0, kernels::one_hot(k.input(0), k.attrs<IntAttrs>().a));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<IntAttrs>(attr_int(c.node.attrs, "depth"), int64_t{0});
       });
 
   reg(
@@ -577,14 +721,14 @@ void register_index_ops(OpRegistry& r) {
                       Shape{c.input_shapes[1].dim(0)}.concat(
                           c.input_shapes[0].drop_front(1)));
       },
-      binary(&kernels::gather_rows));
+      binary<&kernels::gather_rows>);
 
   reg(
       r, "SelectColumns",
       [](const SIC& c) {
         return single(DType::kFloat32, Shape{c.input_shapes[0].dim(0)});
       },
-      binary(&kernels::select_columns));
+      binary<&kernels::select_columns>);
 }
 
 void register_shape_ops(OpRegistry& r) {
@@ -592,32 +736,33 @@ void register_shape_ops(OpRegistry& r) {
   reg(
       r, "Reshape",
       [](const SIC& c) {
-        Shape target = attr_shape(c.node->attrs, "shape");
         // If the input element count and all-but-one target dims are known,
         // we could resolve -1 here; leave it unknown for the build, the
         // kernel resolves at runtime.
-        return single(c.input_dtypes[0], target);
+        return single(c.input_dtypes[0], attr_shape(c.node->attrs, "shape"));
       },
       [](KernelContext& k) {
-        Shape target = attr_shape(k.node->attrs, "shape");
-        std::vector<int64_t> dims = target.dims();
+        Shape target = *k.attrs<ShapeAttrs>().shape;
         int64_t known = 1;
         int unknown_at = -1;
-        for (size_t i = 0; i < dims.size(); ++i) {
-          if (dims[i] == kUnknownDim) {
+        for (int i = 0; i < target.rank(); ++i) {
+          if (target.dim(i) == kUnknownDim) {
             RLG_REQUIRE(unknown_at < 0, "Reshape: more than one -1 dim");
-            unknown_at = static_cast<int>(i);
+            unknown_at = i;
           } else {
-            known *= dims[i];
+            known *= target.dim(i);
           }
         }
         if (unknown_at >= 0) {
-          RLG_REQUIRE(known > 0 && k.inputs[0].num_elements() % known == 0,
+          RLG_REQUIRE(known > 0 && k.input(0).num_elements() % known == 0,
                       "Reshape: cannot infer -1 dim");
-          dims[static_cast<size_t>(unknown_at)] =
-              k.inputs[0].num_elements() / known;
+          target = target.with_dim(unknown_at,
+                                   k.input(0).num_elements() / known);
         }
-        return std::vector<Tensor>{k.inputs[0].reshaped(Shape(dims))};
+        k.set_output(0, k.input(0).reshaped(target));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<ShapeAttrs>(&attr_shape(c.node.attrs, "shape"));
       });
 
   reg(
@@ -626,16 +771,15 @@ void register_shape_ops(OpRegistry& r) {
         int64_t axis = attr_int(c.node->attrs, "axis");
         const Shape& in = c.input_shapes[0];
         RLG_REQUIRE(axis >= 0 && axis <= in.rank(), "ExpandDims axis range");
-        std::vector<int64_t> dims = in.dims();
-        dims.insert(dims.begin() + axis, 1);
-        return single(c.input_dtypes[0], Shape(dims));
+        return single(c.input_dtypes[0],
+                      in.insert_dim(static_cast<int>(axis), 1));
       },
       [](KernelContext& k) {
-        int64_t axis = attr_int(k.node->attrs, "axis");
-        std::vector<int64_t> dims = k.inputs[0].shape().dims();
-        dims.insert(dims.begin() + axis, 1);
-        return std::vector<Tensor>{k.inputs[0].reshaped(Shape(dims))};
-      });
+        const int axis = static_cast<int>(k.attrs<IntAttrs>().a);
+        k.set_output(0,
+                     k.input(0).reshaped(k.input(0).shape().insert_dim(axis, 1)));
+      },
+      init_axis);
 
   reg(
       r, "Squeeze",
@@ -646,18 +790,16 @@ void register_shape_ops(OpRegistry& r) {
                         (in.dim(static_cast<int>(axis)) == 1 ||
                          in.dim(static_cast<int>(axis)) == kUnknownDim),
                     "Squeeze axis must be size 1");
-        std::vector<int64_t> dims = in.dims();
-        dims.erase(dims.begin() + axis);
-        return single(c.input_dtypes[0], Shape(dims));
+        return single(c.input_dtypes[0],
+                      in.remove_dim(static_cast<int>(axis)));
       },
       [](KernelContext& k) {
-        int64_t axis = attr_int(k.node->attrs, "axis");
-        std::vector<int64_t> dims = k.inputs[0].shape().dims();
-        RLG_REQUIRE(dims[static_cast<size_t>(axis)] == 1,
-                    "Squeeze axis not of size 1 at runtime");
-        dims.erase(dims.begin() + axis);
-        return std::vector<Tensor>{k.inputs[0].reshaped(Shape(dims))};
-      });
+        const int axis = static_cast<int>(k.attrs<IntAttrs>().a);
+        const Shape& in = k.input(0).shape();
+        RLG_REQUIRE(in.dim(axis) == 1, "Squeeze axis not of size 1 at runtime");
+        k.set_output(0, k.input(0).reshaped(in.remove_dim(axis)));
+      },
+      init_axis);
 
   reg(
       r, "Concat",
@@ -675,27 +817,50 @@ void register_shape_ops(OpRegistry& r) {
         return single(c.input_dtypes[0], out.with_dim(axis, total));
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::concat(
-            k.inputs, static_cast<int>(attr_int(k.node->attrs, "axis")))};
-      });
-
-  reg(
-      r, "Split",
-      [](const SIC& c) {
-        int axis = static_cast<int>(attr_int(c.node->attrs, "axis"));
-        std::vector<int64_t> sizes = attr_ints(c.node->attrs, "sizes");
-        OpSignature sig;
-        for (int64_t s : sizes) {
-          sig.dtypes.push_back(c.input_dtypes[0]);
-          sig.shapes.push_back(c.input_shapes[0].with_dim(axis, s));
+        // The inputs in place; a stack array covers all but very wide
+        // concats.
+        constexpr int kInline = 16;
+        const Tensor* inline_parts[kInline];
+        std::vector<const Tensor*> wide;
+        const Tensor** parts = inline_parts;
+        if (k.num_inputs > kInline) {
+          wide.resize(static_cast<size_t>(k.num_inputs));
+          parts = wide.data();
         }
-        return sig;
+        for (int i = 0; i < k.num_inputs; ++i) parts[i] = &k.input(i);
+        k.set_output(0, kernels::concat(
+                            parts, static_cast<size_t>(k.num_inputs),
+                            static_cast<int>(k.attrs<IntAttrs>().a)));
       },
-      [](KernelContext& k) {
-        return kernels::split(
-            k.inputs[0], static_cast<int>(attr_int(k.node->attrs, "axis")),
-            attr_ints(k.node->attrs, "sizes"));
-      });
+      init_axis);
+
+  OpSchema split;
+  split.name = "Split";
+  split.shape_fn = [](const SIC& c) {
+    int axis = static_cast<int>(attr_int(c.node->attrs, "axis"));
+    OpSignature sig;
+    for (int64_t s : attr_ints(c.node->attrs, "sizes")) {
+      sig.dtypes.push_back(c.input_dtypes[0]);
+      sig.shapes.push_back(c.input_shapes[0].with_dim(axis, s));
+    }
+    return sig;
+  };
+  split.init = [](KernelInitContext& c) {
+    c.state.emplace<SplitAttrs>(
+        &attr_ints(c.node.attrs, "sizes"),
+        static_cast<int>(attr_int(c.node.attrs, "axis")));
+  };
+  split.execute = [](KernelContext& k) {
+    const SplitAttrs& a = k.attrs<SplitAttrs>();
+    std::vector<Tensor> parts = kernels::split(k.input(0), a.axis, *a.sizes);
+    for (size_t j = 0; j < parts.size(); ++j) {
+      k.set_output(static_cast<int>(j), std::move(parts[j]));
+    }
+  };
+  split.num_outputs = [](const NodeDef& node) {
+    return static_cast<int>(attr_ints(node.attrs, "sizes").size());
+  };
+  r.register_op(std::move(split));
 
   reg(
       r, "SliceRows",
@@ -705,9 +870,12 @@ void register_shape_ops(OpRegistry& r) {
                       Shape{size}.concat(c.input_shapes[0].drop_front(1)));
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::slice_rows(
-            k.inputs[0], attr_int(k.node->attrs, "begin"),
-            attr_int(k.node->attrs, "size"))};
+        const IntAttrs& a = k.attrs<IntAttrs>();
+        k.set_output(0, kernels::slice_rows(k.input(0), a.a, a.b));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<IntAttrs>(attr_int(c.node.attrs, "begin"),
+                                  attr_int(c.node.attrs, "size"));
       });
 
   // Size(x): number of elements as a float scalar (used by mean gradients
@@ -716,8 +884,8 @@ void register_shape_ops(OpRegistry& r) {
       r, "Size",
       [](const SIC&) { return single(DType::kFloat32, Shape{}); },
       [](KernelContext& k) {
-        return std::vector<Tensor>{
-            Tensor::scalar(static_cast<float>(k.inputs[0].num_elements()))};
+        k.set_output(0, Tensor::scalar(
+                            static_cast<float>(k.input(0).num_elements())));
       });
 
   // ReshapeLike(x, ref): reshape x to ref's runtime shape.
@@ -725,8 +893,7 @@ void register_shape_ops(OpRegistry& r) {
       r, "ReshapeLike",
       [](const SIC& c) { return single(c.input_dtypes[0], c.input_shapes[1]); },
       [](KernelContext& k) {
-        return std::vector<Tensor>{
-            k.inputs[0].reshaped(k.inputs[1].shape())};
+        k.set_output(0, k.input(0).reshaped(k.input(1).shape()));
       });
 
   reg(
@@ -735,8 +902,10 @@ void register_shape_ops(OpRegistry& r) {
         return single(attr_dtype(c.node->attrs, "dtype"), c.input_shapes[0]);
       },
       [](KernelContext& k) {
-        return std::vector<Tensor>{
-            k.inputs[0].cast(attr_dtype(k.node->attrs, "dtype"))};
+        k.set_output(0, k.input(0).cast(k.attrs<DTypeAttrs>().dtype));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<DTypeAttrs>(attr_dtype(c.node.attrs, "dtype"));
       });
 }
 
@@ -746,9 +915,13 @@ void register_random_ops(OpRegistry& r) {
       r, "RandomUniformLike",
       [](const SIC& c) { return single(DType::kFloat32, c.input_shapes[0]); },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::random_uniform(
-            k.inputs[0].shape(), attr_double(k.node->attrs, "lo", 0.0),
-            attr_double(k.node->attrs, "hi", 1.0), *k.rng)};
+        const RealAttrs& a = k.attrs<RealAttrs>();
+        k.set_output(0, kernels::random_uniform(k.input(0).shape(), a.a, a.b,
+                                                *k.rng));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<RealAttrs>(attr_double(c.node.attrs, "lo", 0.0),
+                                   attr_double(c.node.attrs, "hi", 1.0));
       },
       /*stateful=*/true);
 
@@ -759,9 +932,13 @@ void register_random_ops(OpRegistry& r) {
       r, "RandomNormalLike",
       [](const SIC& c) { return single(DType::kFloat32, c.input_shapes[0]); },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::random_normal(
-            k.inputs[0].shape(), attr_double(k.node->attrs, "mean", 0.0),
-            attr_double(k.node->attrs, "stddev", 1.0), *k.rng)};
+        const RealAttrs& a = k.attrs<RealAttrs>();
+        k.set_output(0, kernels::random_normal(k.input(0).shape(), a.a, a.b,
+                                               *k.rng));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<RealAttrs>(attr_double(c.node.attrs, "mean", 0.0),
+                                   attr_double(c.node.attrs, "stddev", 1.0));
       },
       /*stateful=*/true);
 
@@ -770,8 +947,11 @@ void register_random_ops(OpRegistry& r) {
       r, "RandomIntLike",
       [](const SIC& c) { return single(DType::kInt32, c.input_shapes[0]); },
       [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::random_int(
-            k.inputs[0].shape(), attr_int(k.node->attrs, "n"), *k.rng)};
+        k.set_output(0, kernels::random_int(k.input(0).shape(),
+                                            k.attrs<IntAttrs>().a, *k.rng));
+      },
+      [](KernelInitContext& c) {
+        c.state.emplace<IntAttrs>(attr_int(c.node.attrs, "n"), int64_t{0});
       },
       /*stateful=*/true);
 }

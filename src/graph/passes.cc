@@ -94,14 +94,14 @@ OptimizeResult optimize_once(const GraphDef& graph,
       }
     }
     if (foldable) {
-      KernelContext ctx;
-      ctx.node = &n;
-      ctx.inputs.reserve(n.inputs.size());
+      std::vector<Tensor> inputs;
+      inputs.reserve(n.inputs.size());
       for (const Endpoint& e : n.inputs) {
         const NodeDef& src = new_graph->node(map_endpoint(e).node);
-        ctx.inputs.push_back(attr_tensor(src.attrs, "value"));
+        inputs.push_back(attr_tensor(src.attrs, "value"));
       }
-      std::vector<Tensor> values = schema.kernel(ctx);
+      std::vector<Tensor> values =
+          run_kernel(schema, n, inputs, /*variables=*/nullptr, /*rng=*/nullptr);
       // Multi-output folding would need one Const per output; fold only
       // single-output nodes to keep the endpoint map simple.
       if (values.size() == 1) {

@@ -34,8 +34,7 @@ std::vector<Tensor> Session::PreparedCall::run(
 
   std::vector<Tensor> out;
   try {
-    out = plan_->execute(*arena, feed_values, session_->variables_,
-                         session_->rng_);
+    out = plan_->execute(*arena, feed_values, session_->rng_);
   } catch (...) {
     arena->end_run();
     {
@@ -162,7 +161,8 @@ std::shared_ptr<Session::PreparedCall> Session::prepare(
   trace::TraceSpan compile_span("session", "session/compile");
   return insert_compiled(
       std::move(key),
-      CompiledPlan::compile(graph_, fetches, feed_nodes, pattern_fusion_));
+      CompiledPlan::compile(graph_, fetches, feed_nodes, variables_,
+                            pattern_fusion_));
 }
 
 std::shared_ptr<Session::PreparedCall> Session::prepare_specialized(
@@ -182,7 +182,8 @@ std::shared_ptr<Session::PreparedCall> Session::prepare_specialized(
   trace::TraceSpan compile_span("session", "session/compile_specialized");
   std::shared_ptr<CompiledPlan> plan =
       CompiledPlan::compile_specialized(graph_, fetches, feed_nodes,
-                                        feed_shapes, pattern_fusion_);
+                                        feed_shapes, variables_,
+                                        pattern_fusion_);
   if (plan == nullptr) {
     // Shapes don't match the declared signature: serve the dynamic plan,
     // and remember that under the specialized key so the next call with

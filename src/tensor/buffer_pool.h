@@ -5,15 +5,17 @@
 // pool recycles buffers by exact byte size: while a pool is active on the
 // current thread (see BufferPoolScope), Tensor allocations are served from
 // its free lists, and buffers return to the pool when their last Tensor
-// handle dies — whenever that happens, on whatever thread. The return path
-// is carried by the buffer's deleter, which keeps the pool state alive via
-// a shared_ptr, so a pool may be destroyed while buffers it allocated are
-// still in flight (they then free normally).
+// handle dies — whenever that happens, on whatever thread. Each buffer's
+// shared_ptr control block lives in a header at the front of its chunk
+// (see ChunkAllocator in buffer_pool.cc): a pool hit performs no heap
+// operation at all, a miss exactly one. The control block carries the
+// return path and a reference to the pool state, so a pool may be destroyed
+// while buffers it allocated are still in flight.
 //
 // Thread safety: the shared free lists are mutex-guarded, and each thread
 // additionally keeps a small bounded cache of recently freed buffers, so
-// the steady-state alloc/free cycle on parallel-executor threads skips the
-// shared mutex entirely. Stats counters are atomics.
+// the steady-state alloc/free cycle skips the shared mutex and every
+// refcount entirely. Stats counters are atomics.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +39,10 @@ class BufferPool {
   // (exact-size match), or the heap.
   std::shared_ptr<void> allocate(size_t bytes);
 
+  // A buffer outside any pool: one heap allocation holding both the
+  // control block and the data, freed when the last handle dies.
+  static std::shared_ptr<void> allocate_unpooled(size_t bytes);
+
   // Drop all retained free buffers from the shared lists. Buffers parked
   // in other threads' caches stay there until those threads free or exit.
   void trim();
@@ -46,7 +52,8 @@ class BufferPool {
   // heap allocations.
   int64_t bytes_reused() const;
   int64_t bytes_allocated() const;
-  // Bytes currently retained (shared lists + thread caches).
+  // Bytes retained on the shared free lists (each thread's cache holds at
+  // most a few buffers on top).
   int64_t pooled_bytes() const;
 
   // The pool active on this thread (set by BufferPoolScope), or nullptr.
@@ -57,8 +64,13 @@ class BufferPool {
 
   struct State;
   struct ThreadCache;
+  template <typename T>
+  struct ChunkAllocator;
 
-  std::shared_ptr<State> state_;
+  static std::shared_ptr<void> make_buffer(State* state, void* chunk,
+                                           size_t bytes);
+
+  State* state_;
 };
 
 // RAII activation of a pool for the current thread. Nests (restores the

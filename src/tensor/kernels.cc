@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string_view>
 #include <type_traits>
 
 #include "util/thread_pool.h"
@@ -91,13 +92,13 @@ Walk<N> coalesce(const char* op, const Shape& out, const WalkOperand* in,
   Walk<N> w;
   int64_t contiguous[N];  // operand j's row-major stride at out dim i
   for (int j = 0; j < N; ++j) contiguous[j] = 1;
-  const std::vector<int64_t>& dims = out.dims();
+  const DimsView dims = out.dims();
   for (int i = out.rank() - 1; i >= 0; --i) {
     int64_t s[N];
     for (int j = 0; j < N; ++j) {
       s[j] = 0;
       if (j >= count) continue;
-      const std::vector<int64_t>& in_dims = in[j].shape->dims();
+      const DimsView in_dims = in[j].shape->dims();
       int rank = static_cast<int>(in_dims.size());
       int k = rank + in[j].trailing_ones - out.rank() + i;
       if (k < 0 || k >= rank || in_dims[static_cast<size_t>(k)] == 1) continue;
@@ -1126,8 +1127,9 @@ Tensor reduce(const Tensor& a, int axis, bool keep_dims, float init, Fn fn,
       acc /= static_cast<float>(n);
     }
     if (!keep_dims) return Tensor::scalar(acc);
-    std::vector<int64_t> dims(static_cast<size_t>(a.shape().rank()), 1);
-    return Tensor::filled(DType::kFloat32, Shape(dims), acc);
+    Shape ones;
+    for (int i = 0; i < a.shape().rank(); ++i) ones = ones.prepend(1);
+    return Tensor::filled(DType::kFloat32, ones, acc);
   }
   RLG_REQUIRE(axis >= 0 && axis < a.shape().rank(),
               "reduce axis " << axis << " out of range for "
@@ -1136,15 +1138,8 @@ Tensor reduce(const Tensor& a, int axis, bool keep_dims, float init, Fn fn,
   int64_t extent = a.shape().dim(axis);
   for (int i = 0; i < axis; ++i) outer *= a.shape().dim(i);
   for (int i = axis + 1; i < a.shape().rank(); ++i) inner *= a.shape().dim(i);
-  std::vector<int64_t> out_dims;
-  for (int i = 0; i < a.shape().rank(); ++i) {
-    if (i == axis) {
-      if (keep_dims) out_dims.push_back(1);
-    } else {
-      out_dims.push_back(a.shape().dim(i));
-    }
-  }
-  Tensor out(DType::kFloat32, Shape(out_dims));
+  Tensor out(DType::kFloat32, keep_dims ? a.shape().with_dim(axis, 1)
+                                        : a.shape().remove_dim(axis));
   float* po = out.mutable_data<float>();
   // Axis reduction: every output element folds its own extent, so sharding
   // over the flat output index writes disjoint ranges and is trivially
@@ -1256,11 +1251,7 @@ Tensor argmax(const Tensor& a) {
   RLG_REQUIRE(a.shape().rank() >= 1, "argmax requires rank >= 1");
   int64_t cols = a.shape().dim(a.shape().rank() - 1);
   int64_t rows = a.num_elements() / cols;
-  Shape out_shape = a.shape().drop_front(0);
-  // Remove last dim.
-  std::vector<int64_t> dims(a.shape().dims().begin(),
-                            a.shape().dims().end() - 1);
-  Tensor out(DType::kInt32, Shape(dims));
+  Tensor out(DType::kInt32, a.shape().remove_dim(a.shape().rank() - 1));
   const float* pa = a.data<float>();
   int32_t* po = out.mutable_data<int32_t>();
   shard_range(rows_grain(cols), rows, [pa, po, cols](int64_t r0, int64_t r1) {
@@ -1336,12 +1327,21 @@ Tensor select_columns(const Tensor& values, const Tensor& indices) {
 }
 
 Tensor concat(const std::vector<Tensor>& parts, int axis) {
-  RLG_REQUIRE(!parts.empty(), "concat of zero tensors");
-  const Shape& first = parts[0].shape();
+  std::vector<const Tensor*> ptrs;
+  ptrs.reserve(parts.size());
+  for (const Tensor& p : parts) ptrs.push_back(&p);
+  return concat(ptrs.data(), ptrs.size(), axis);
+}
+
+Tensor concat(const Tensor* const* parts, size_t num_parts, int axis) {
+  RLG_REQUIRE(num_parts > 0, "concat of zero tensors");
+  const Tensor& head = *parts[0];
+  const Shape& first = head.shape();
   RLG_REQUIRE(axis >= 0 && axis < first.rank(), "concat axis out of range");
   int64_t total_axis = 0;
-  for (const Tensor& p : parts) {
-    RLG_REQUIRE(p.dtype() == parts[0].dtype(), "concat dtype mismatch");
+  for (size_t k = 0; k < num_parts; ++k) {
+    const Tensor& p = *parts[k];
+    RLG_REQUIRE(p.dtype() == head.dtype(), "concat dtype mismatch");
     RLG_REQUIRE(p.shape().rank() == first.rank(), "concat rank mismatch");
     for (int i = 0; i < first.rank(); ++i) {
       if (i != axis) {
@@ -1352,16 +1352,17 @@ Tensor concat(const std::vector<Tensor>& parts, int axis) {
     total_axis += p.shape().dim(axis);
   }
   Shape out_shape = first.with_dim(axis, total_axis);
-  Tensor out(parts[0].dtype(), out_shape);
+  Tensor out(head.dtype(), out_shape);
   int64_t outer = 1;
   for (int i = 0; i < axis; ++i) outer *= first.dim(i);
   int64_t inner = 1;
   for (int i = axis + 1; i < first.rank(); ++i) inner *= first.dim(i);
-  size_t esize = dtype_size(parts[0].dtype());
+  size_t esize = dtype_size(head.dtype());
   auto* po = static_cast<uint8_t*>(out.mutable_raw());
   size_t out_row = static_cast<size_t>(total_axis * inner) * esize;
   size_t offset = 0;
-  for (const Tensor& p : parts) {
+  for (size_t k = 0; k < num_parts; ++k) {
+    const Tensor& p = *parts[k];
     size_t p_row = static_cast<size_t>(p.shape().dim(axis) * inner) * esize;
     const auto* pp = static_cast<const uint8_t*>(p.raw());
     for (int64_t o = 0; o < outer; ++o) {
@@ -1555,74 +1556,79 @@ Tensor fused_conv2d(const Tensor& input, const Tensor& filter,
   return out;
 }
 
-namespace {
-struct CompiledLink {
-  float (*un)(float) = nullptr;
-  float (*bin)(float, float) = nullptr;
-  bool chain_left = true;
-  int extra = -1;
-  int read = -1;  // slot of `extra` in its segment's walk
-};
-
 // Extras one walk of fused_elementwise reads.
 constexpr int kMaxFusedReads = 4;
 
-CompiledLink compile_link(const EwiseLink& link, size_t num_extras) {
-  CompiledLink c;
-  if (link.binary) {
-    c.chain_left = link.chain_left;
-    c.extra = link.extra;
-    RLG_REQUIRE(link.extra >= 0 &&
-                    static_cast<size_t>(link.extra) < num_extras,
-                "fused_elementwise: extra index " << link.extra
+EwiseStep ewise_step(std::string_view op, bool binary, bool chain_left,
+                     int extra, size_t num_extras) {
+  EwiseStep c;
+  if (binary) {
+    c.chain_left = chain_left;
+    c.extra = extra;
+    RLG_REQUIRE(extra >= 0 && static_cast<size_t>(extra) < num_extras,
+                "fused_elementwise: extra index " << extra
                                                   << " out of range");
     // Same lambdas as the standalone binary kernels.
-    if (link.op == "Add") c.bin = +[](float x, float y) { return x + y; };
-    else if (link.op == "Sub") c.bin = +[](float x, float y) { return x - y; };
-    else if (link.op == "Mul") c.bin = +[](float x, float y) { return x * y; };
-    else if (link.op == "Div") c.bin = +[](float x, float y) { return x / y; };
-    else if (link.op == "Minimum")
+    if (op == "Add") c.bin = +[](float x, float y) { return x + y; };
+    else if (op == "Sub") c.bin = +[](float x, float y) { return x - y; };
+    else if (op == "Mul") c.bin = +[](float x, float y) { return x * y; };
+    else if (op == "Div") c.bin = +[](float x, float y) { return x / y; };
+    else if (op == "Minimum")
       c.bin = +[](float x, float y) { return x < y ? x : y; };
-    else if (link.op == "Maximum")
+    else if (op == "Maximum")
       c.bin = +[](float x, float y) { return x > y ? x : y; };
     else
-      throw ValueError("fused_elementwise: unsupported binary op " + link.op);
+      throw ValueError("fused_elementwise: unsupported binary op " +
+                       std::string(op));
   } else {
     // Same lambdas as the standalone unary kernels.
-    if (link.op == "Neg") c.un = +[](float x) { return -x; };
-    else if (link.op == "Exp") c.un = +[](float x) { return std::exp(x); };
-    else if (link.op == "Log") c.un = +[](float x) { return std::log(x); };
-    else if (link.op == "Sqrt") c.un = +[](float x) { return std::sqrt(x); };
-    else if (link.op == "Square") c.un = +[](float x) { return x * x; };
-    else if (link.op == "Abs") c.un = +[](float x) { return std::fabs(x); };
-    else if (link.op == "Relu")
+    if (op == "Neg") c.un = +[](float x) { return -x; };
+    else if (op == "Exp") c.un = +[](float x) { return std::exp(x); };
+    else if (op == "Log") c.un = +[](float x) { return std::log(x); };
+    else if (op == "Sqrt") c.un = +[](float x) { return std::sqrt(x); };
+    else if (op == "Square") c.un = +[](float x) { return x * x; };
+    else if (op == "Abs") c.un = +[](float x) { return std::fabs(x); };
+    else if (op == "Relu")
       c.un = +[](float x) { return x > 0.0f ? x : 0.0f; };
-    else if (link.op == "Sigmoid")
+    else if (op == "Sigmoid")
       c.un = +[](float x) { return 1.0f / (1.0f + std::exp(-x)); };
-    else if (link.op == "Tanh") c.un = +[](float x) { return std::tanh(x); };
+    else if (op == "Tanh") c.un = +[](float x) { return std::tanh(x); };
     else
-      throw ValueError("fused_elementwise: unsupported unary op " + link.op);
+      throw ValueError("fused_elementwise: unsupported unary op " +
+                       std::string(op));
   }
   return c;
 }
-}  // namespace
 
 Tensor fused_elementwise(const Tensor& x, const std::vector<Tensor>& extras,
                          const std::vector<EwiseLink>& links) {
-  check_dtype(x, DType::kFloat32, "fused_elementwise");
-  for (const Tensor& e : extras) {
-    check_dtype(e, DType::kFloat32, "fused_elementwise");
-  }
-  std::vector<CompiledLink> steps;
+  std::vector<EwiseStep> steps;
   steps.reserve(links.size());
-  for (const EwiseLink& l : links) steps.push_back(compile_link(l, extras.size()));
+  for (const EwiseLink& l : links) {
+    steps.push_back(
+        ewise_step(l.op, l.binary, l.chain_left, l.extra, extras.size()));
+  }
+  std::vector<const Tensor*> ptrs;
+  ptrs.reserve(extras.size());
+  for (const Tensor& e : extras) ptrs.push_back(&e);
+  return fused_elementwise(x, ptrs.data(), ptrs.size(), steps.data(),
+                           steps.size());
+}
+
+Tensor fused_elementwise(const Tensor& x, const Tensor* const* extras,
+                         size_t num_extras, const EwiseStep* steps,
+                         size_t num_steps) {
+  check_dtype(x, DType::kFloat32, "fused_elementwise");
+  for (size_t i = 0; i < num_extras; ++i) {
+    check_dtype(*extras[i], DType::kFloat32, "fused_elementwise");
+  }
   const Shape& oshape = x.shape();
-  for (const Tensor& e : extras) {
-    const Shape& es = e.shape();
+  for (size_t i = 0; i < num_extras; ++i) {
+    const Shape& es = extras[i]->shape();
     bool fits = es.rank() <= oshape.rank();
-    for (int i = 0; fits && i < es.rank(); ++i) {
-      int64_t d = es.dim(i);
-      fits = d == 1 || d == oshape.dim(oshape.rank() - es.rank() + i);
+    for (int j = 0; fits && j < es.rank(); ++j) {
+      int64_t d = es.dim(j);
+      fits = d == 1 || d == oshape.dim(oshape.rank() - es.rank() + j);
     }
     RLG_REQUIRE(fits, "fused_elementwise: extra " << es.to_string()
                                                   << " does not broadcast into "
@@ -1635,7 +1641,8 @@ Tensor fused_elementwise(const Tensor& x, const std::vector<Tensor>& extras,
   // through one coalesced walk (each extra element pairs with the same chain
   // element as in the unfused broadcast op). A longer chain carries the
   // running value through the output between segments: every element still
-  // sees the same ops in the same order.
+  // sees the same ops in the same order. Within a segment the binary links
+  // read the walk's operands in order.
   const float* src = x.data<float>();
   size_t first = 0;
   do {
@@ -1643,30 +1650,31 @@ Tensor fused_elementwise(const Tensor& x, const std::vector<Tensor>& extras,
     const float* pext[kMaxFusedReads];
     int reads = 0;
     size_t last = first;
-    for (; last < steps.size(); ++last) {
-      CompiledLink& s = steps[last];
+    for (; last < num_steps; ++last) {
+      const EwiseStep& s = steps[last];
       if (s.un) continue;
       if (reads == kMaxFusedReads) break;
-      const Tensor& e = extras[static_cast<size_t>(s.extra)];
-      s.read = reads;
+      const Tensor& e = *extras[static_cast<size_t>(s.extra)];
       in[reads] = {&e.shape()};
       pext[reads++] = e.data<float>();
     }
     const Walk<kMaxFusedReads> w =
         coalesce<kMaxFusedReads>("fused_elementwise", oshape, in, reads);
-    const CompiledLink* seg = steps.data() + first;
+    const EwiseStep* seg = steps + first;
     const size_t seg_len = last - first;
     walk_all(w, kMathGrain, n,
              [&](int64_t o, const int64_t* off, int64_t len) {
                for (int64_t i = 0; i < len; ++i) {
                  float v = src[o + i];
+                 int read = 0;
                  for (size_t k = 0; k < seg_len; ++k) {
-                   const CompiledLink& s = seg[k];
+                   const EwiseStep& s = seg[k];
                    if (s.un) {
                      v = s.un(v);
                    } else {
-                     float e = pext[s.read][off[s.read] +
-                                            i * w.stride[s.read][0]];
+                     float e = pext[read][off[read] +
+                                          i * w.stride[read][0]];
+                     ++read;
                      v = s.chain_left ? s.bin(v, e) : s.bin(e, v);
                    }
                  }
@@ -1675,7 +1683,7 @@ Tensor fused_elementwise(const Tensor& x, const std::vector<Tensor>& extras,
              });
     src = po;
     first = last;
-  } while (first < steps.size());
+  } while (first < num_steps);
   return out;
 }
 

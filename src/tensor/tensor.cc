@@ -17,8 +17,7 @@ std::shared_ptr<void> allocate(size_t bytes) {
     return planned;
   }
   if (BufferPool* pool = BufferPool::current()) return pool->allocate(bytes);
-  return std::shared_ptr<void>(::operator new(bytes),
-                               [](void* p) { ::operator delete(p); });
+  return BufferPool::allocate_unpooled(bytes);
 }
 }  // namespace
 

@@ -12,14 +12,23 @@ void write_tensor(ByteWriter* writer, const Tensor& tensor) {
   writer->write_bytes(tensor.raw(), tensor.byte_size());
 }
 
-Tensor read_tensor(ByteReader* reader) {
+TensorHeader read_tensor_header(ByteReader* reader) {
+  TensorHeader h;
   const uint8_t dtype_byte = reader->read_u8();
   if (dtype_byte > static_cast<uint8_t>(DType::kInt8)) {
     throw SerializationError("tensor stream has invalid dtype tag " +
                              std::to_string(dtype_byte));
   }
-  DType dtype = static_cast<DType>(dtype_byte);
-  uint32_t rank = reader->read_u32();
+  h.dtype = static_cast<DType>(dtype_byte);
+  const uint32_t rank = reader->read_u32();
+  // Every dim is 8 bytes on the wire: a rank the rest of the stream cannot
+  // hold is corrupt, and must not size the dims array.
+  if (rank > reader->remaining() / sizeof(int64_t)) {
+    throw SerializationError("tensor stream rank " + std::to_string(rank) +
+                             " exceeds the " +
+                             std::to_string(reader->remaining()) +
+                             " bytes left");
+  }
   std::vector<int64_t> dims(rank);
   for (uint32_t d = 0; d < rank; ++d) {
     dims[d] = reader->read_i64();
@@ -28,11 +37,11 @@ Tensor read_tensor(ByteReader* reader) {
                                std::to_string(dims[d]));
     }
   }
-  uint64_t nbytes = reader->read_u64();
+  h.bytes = reader->read_u64();
   // Validate the declared byte count against dtype/dims and the bytes left
   // in the stream BEFORE allocating, so corrupt dims fail as the documented
   // SerializationError instead of a multi-GB allocation or bad_alloc.
-  uint64_t expected = dtype_size(dtype);
+  uint64_t expected = dtype_size(h.dtype);
   for (int64_t d : dims) {
     if (d != 0 &&
         expected > std::numeric_limits<uint64_t>::max() /
@@ -42,20 +51,26 @@ Tensor read_tensor(ByteReader* reader) {
     }
     expected *= static_cast<uint64_t>(d);
   }
-  if (expected != nbytes) {
+  if (expected != h.bytes) {
     throw SerializationError(
-        "tensor stream byte count " + std::to_string(nbytes) +
+        "tensor stream byte count " + std::to_string(h.bytes) +
         " does not match declared dtype/shape (" + std::to_string(expected) +
         " expected)");
   }
-  if (nbytes > reader->remaining()) {
+  if (h.bytes > reader->remaining()) {
     throw SerializationError(
-        "tensor stream truncated: " + std::to_string(nbytes) +
+        "tensor stream truncated: " + std::to_string(h.bytes) +
         " bytes declared, " + std::to_string(reader->remaining()) +
         " remaining");
   }
-  Tensor t(dtype, Shape(dims));
-  reader->read_bytes(t.mutable_raw(), nbytes);
+  h.shape = Shape(dims);
+  return h;
+}
+
+Tensor read_tensor(ByteReader* reader) {
+  const TensorHeader h = read_tensor_header(reader);
+  Tensor t(h.dtype, h.shape);
+  reader->read_bytes(t.mutable_raw(), h.bytes);
   return t;
 }
 

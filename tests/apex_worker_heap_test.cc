@@ -10,90 +10,19 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <set>
 
 #include "agents/dqn_agent.h"
+#include "counting_new.h"
 #include "env/environment.h"
 #include "env/vector_env.h"
 #include "execution/apex_executor.h"
 #include "util/thread_pool.h"
 
-namespace {
-
-// Counts on the thread that enabled counting only: the worker runs on the
-// calling thread, and the tests pin the kernel pool to that thread.
-thread_local bool t_counting = false;
-thread_local int64_t t_allocations = 0;
-
-void* counted_alloc(std::size_t size) {
-  if (t_counting) ++t_allocations;
-  if (size == 0) size = 1;
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  if (t_counting) ++t_allocations;
-  const std::size_t a = static_cast<std::size_t>(align);
-  void* p = std::aligned_alloc(a, (size + a - 1) / a * a);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace rlgraph {
 namespace {
 
-class Counter {
- public:
-  Counter() {
-    t_allocations = 0;
-    t_counting = true;
-  }
-  int64_t stop() {
-    t_counting = false;
-    return t_allocations;
-  }
-};
+using heap_count::Counter;
 
 Json pong_apex_config() {
   return Json::parse(R"({

@@ -49,6 +49,37 @@ TEST_F(ExecPlanTest, PlanCacheHitAndMiss) {
   EXPECT_EQ(s.num_runs(), 3);
 }
 
+TEST_F(ExecPlanTest, VariableStepsBindTheirStoreSlotAtCompile) {
+  // Variable/AssignAdd steps resolve their slot once, when the plan is
+  // compiled; the by-name API works on the same slots, so values set by
+  // name are what the next run reads, and the plan's writes are what
+  // get() returns.
+  ctx_.create_variable("w", Tensor::scalar(2.0f));
+  OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{});
+  OpRef y = ctx_.mul(x, ctx_.variable("w"));
+  OpRef bump = ctx_.assign_add("w", ctx_.scalar(1.0f));
+  Session s = make_session();
+  auto read = s.prepare({{y.node, 0}}, {x.node});
+  auto write = s.prepare({{bump.node, 0}}, {});
+  EXPECT_FLOAT_EQ(read->run({Tensor::scalar(3.0f)})[0].scalar_value(), 6.0f);
+  store_.set("w", Tensor::scalar(5.0f));
+  EXPECT_FLOAT_EQ(read->run({Tensor::scalar(3.0f)})[0].scalar_value(), 15.0f);
+  EXPECT_FLOAT_EQ(write->run({})[0].scalar_value(), 6.0f);
+  EXPECT_FLOAT_EQ(store_.get("w").scalar_value(), 6.0f);
+  EXPECT_FLOAT_EQ(read->run({Tensor::scalar(3.0f)})[0].scalar_value(), 18.0f);
+  // A plan that reads a variable its store lacks fails when it is
+  // compiled, naming the variable.
+  VariableStore empty;
+  Session other(ctx_.graph(), &empty, &rng_);
+  try {
+    other.prepare({{y.node, 0}}, {x.node});
+    ADD_FAILURE() << "compiling against a store without 'w' succeeded";
+  } catch (const NotFoundError& e) {
+    EXPECT_NE(std::string(e.what()).find("'w'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(ExecPlanTest, EagerReleaseBoundsPeakLiveSlots) {
   // A chain of N unary ops: with last-use refcounting only the current
   // step's input and output are live, so the peak stays O(1) while the
@@ -174,10 +205,10 @@ TEST(ExecPlanBuilderTest, PurityCheckCatchesInputMutation) {
   RunArena arena;
   arena.set_check_kernel_purity(true);
   Tensor input = Tensor::from_floats(Shape{4}, {1, 2, 3, 4});
-  EXPECT_THROW(plan->execute(arena, {input}, nullptr, nullptr), Error);
+  EXPECT_THROW(plan->execute(arena, {input}, nullptr), Error);
 
   arena.set_check_kernel_purity(false);
-  EXPECT_NO_THROW(plan->execute(arena, {input}, nullptr, nullptr));
+  EXPECT_NO_THROW(plan->execute(arena, {input}, nullptr));
 }
 
 TEST(ExecPlanBuilderTest, RepeatedRunsReuseOneArena) {
@@ -193,7 +224,7 @@ TEST(ExecPlanBuilderTest, RepeatedRunsReuseOneArena) {
 
   RunArena arena;
   for (int i = 0; i < 3; ++i) {
-    auto out = plan->execute(arena, {Tensor::scalar(5.0f)}, nullptr, nullptr);
+    auto out = plan->execute(arena, {Tensor::scalar(5.0f)}, nullptr);
     EXPECT_FLOAT_EQ(out[0].scalar_value(), 10.0f);
   }
 }

@@ -7,6 +7,7 @@
 #include "components/layers.h"
 #include "core/graph_executor.h"
 #include "tensor/kernels.h"
+#include "util/serialization.h"
 
 namespace rlgraph {
 namespace {
@@ -154,6 +155,50 @@ TEST(GraphExecutorTest, CheckpointRejectsGarbage) {
   GraphExecutor exec(make_mlp_root(), mlp_apis());
   exec.build();
   EXPECT_THROW(exec.import_variables({1, 2, 3, 4, 5, 6, 7, 8}), Error);
+}
+
+// A one-entry checkpoint for variable `name` whose tensor header is
+// caller-chosen (magic "RLGV", version 1; see export_variables).
+std::vector<uint8_t> checkpoint_entry(const std::string& name, uint8_t dtype,
+                                      uint32_t rank,
+                                      const std::vector<int64_t>& dims,
+                                      uint64_t nbytes, size_t payload) {
+  ByteWriter w;
+  w.write_u32(0x524C4756);
+  w.write_u32(1);
+  w.write_u32(1);
+  w.write_string(name);
+  w.write_u8(dtype);
+  w.write_u32(rank);
+  for (int64_t d : dims) w.write_i64(d);
+  w.write_u64(nbytes);
+  std::vector<uint8_t> data(payload, 0);
+  w.write_bytes(data.data(), data.size());
+  return w.take();
+}
+
+TEST(GraphExecutorTest, CheckpointRejectsCorruptHeadersBeforeAllocating) {
+  GraphExecutor exec(make_mlp_root(), mlp_apis());
+  exec.build();
+  const std::string name = exec.variables().names()[0];
+  const Tensor before = exec.variables().get(name).clone();
+  // Rank word 0xFFFFFFFF: would be a 32 GiB dims array.
+  EXPECT_THROW(exec.import_variables(
+                   checkpoint_entry(name, 0, 0xFFFFFFFFu, {5, 4}, 80, 80)),
+               ValueError);
+  // Bad dtype tag.
+  EXPECT_THROW(
+      exec.import_variables(checkpoint_entry(name, 9, 2, {5, 4}, 80, 80)),
+      ValueError);
+  // Negative dim.
+  EXPECT_THROW(
+      exec.import_variables(checkpoint_entry(name, 0, 2, {-5, 4}, 80, 80)),
+      ValueError);
+  // Byte count that does not match dtype and dims.
+  EXPECT_THROW(
+      exec.import_variables(checkpoint_entry(name, 0, 2, {5, 4}, 64, 80)),
+      ValueError);
+  EXPECT_TRUE(exec.variables().get(name).equals(before));
 }
 
 TEST(GraphExecutorTest, SeedsMakeStochasticOpsReproducible) {

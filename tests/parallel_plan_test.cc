@@ -129,13 +129,14 @@ TEST_F(ParallelPlanTest, FailingStepPropagatesFromParallelExecution) {
   OpRef sum = bad;
   for (const OpRef& b : branches) sum = ctx_.add(sum, b);
 
-  auto plan = CompiledPlan::compile(ctx_.graph(), {{sum.node, 0}}, {x.node});
+  auto plan = CompiledPlan::compile(ctx_.graph(), {{sum.node, 0}}, {x.node},
+                                    &store_);
   ASSERT_GE(plan->max_parallel_width(), 2);
   ParallelismGuard guard(8);
   RunArena arena;
   std::vector<float> data(32, 1.0f);
   EXPECT_THROW(plan->execute(arena, {Tensor::from_floats(Shape{32}, data)},
-                             &store_, &rng_),
+                             &rng_),
                Error);
 }
 
@@ -166,9 +167,9 @@ TEST_F(ParallelPlanTest, FusedPlanBitwiseMatchesUnfusedAtAnyThreadCount) {
   OpRef out = ctx_.mul(ctx_.neg(h2), ctx_.scalar(0.5f));
 
   auto unfused =
-      CompiledPlan::compile(ctx_.graph(), {{out.node, 0}}, {x.node});
+      CompiledPlan::compile(ctx_.graph(), {{out.node, 0}}, {x.node}, &store_);
   auto fused = CompiledPlan::compile(ctx_.graph(), {{out.node, 0}}, {x.node},
-                                     /*fuse_patterns=*/true);
+                                     &store_, /*fuse_patterns=*/true);
   EXPECT_GE(fused->fused_kernel_steps(), 3);  // 2x FusedDense + tail chain
   EXPECT_LT(fused->num_steps(), unfused->num_steps());
 
@@ -176,10 +177,10 @@ TEST_F(ParallelPlanTest, FusedPlanBitwiseMatchesUnfusedAtAnyThreadCount) {
   set_global_parallelism(1);
   RunArena serial_arena;
   std::vector<float> serial =
-      unfused->execute(serial_arena, {feed}, &store_, &rng_)[0].to_floats();
+      unfused->execute(serial_arena, {feed}, &rng_)[0].to_floats();
   {
     RunArena arena;
-    EXPECT_EQ(fused->execute(arena, {feed}, &store_, &rng_)[0].to_floats(),
+    EXPECT_EQ(fused->execute(arena, {feed}, &rng_)[0].to_floats(),
               serial);
   }
   for (size_t threads : {size_t{2}, size_t{8}}) {
@@ -187,12 +188,12 @@ TEST_F(ParallelPlanTest, FusedPlanBitwiseMatchesUnfusedAtAnyThreadCount) {
     for (int rep = 0; rep < 3; ++rep) {
       RunArena fused_arena;
       EXPECT_EQ(
-          fused->execute(fused_arena, {feed}, &store_, &rng_)[0].to_floats(),
+          fused->execute(fused_arena, {feed}, &rng_)[0].to_floats(),
           serial)
           << threads << " threads, rep " << rep;
       RunArena unfused_arena;
       EXPECT_EQ(
-          unfused->execute(unfused_arena, {feed}, &store_, &rng_)[0]
+          unfused->execute(unfused_arena, {feed}, &rng_)[0]
               .to_floats(),
           serial)
           << threads << " threads, rep " << rep;

@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "agents/dqn_agent.h"
+#include "tensor/tensor_io.h"
 #include "util/random.h"
 #include "util/serialization.h"
 
@@ -38,6 +39,58 @@ std::unique_ptr<DQNAgent> make_built_agent(int64_t obs_dim = 4,
 // Patch little-endian u32 at a byte offset.
 void poke_u32(std::vector<uint8_t>& bytes, size_t offset, uint32_t v) {
   for (int i = 0; i < 4; ++i) bytes[offset + i] = (v >> (8 * i)) & 0xFF;
+}
+
+// One wire tensor (tensor_io.h) with caller-chosen header fields, followed
+// by `payload` data bytes.
+std::vector<uint8_t> wire_tensor(uint8_t dtype, uint32_t rank,
+                                 const std::vector<int64_t>& dims,
+                                 uint64_t nbytes, size_t payload) {
+  ByteWriter w;
+  w.write_u8(dtype);
+  w.write_u32(rank);
+  for (int64_t d : dims) w.write_i64(d);
+  w.write_u64(nbytes);
+  std::vector<uint8_t> data(payload, 0);
+  w.write_bytes(data.data(), data.size());
+  return w.take();
+}
+
+Tensor decode(std::vector<uint8_t> bytes) {
+  ByteReader r(std::move(bytes));
+  return read_tensor(&r);
+}
+
+TEST(TensorWireTest, IntactTensorRoundTrips) {
+  Tensor t = Tensor::from_floats(Shape{2, 3}, {1, 2, 3, 4, 5, 6});
+  ByteWriter w;
+  write_tensor(&w, t);
+  EXPECT_TRUE(decode(w.take()).equals(t));
+}
+
+TEST(TensorWireTest, HugeRankThrowsBeforeAllocating) {
+  // A rank word of 0xFFFFFFFF would ask for a 32 GiB dims array; the
+  // decoder must reject it from the bytes left in the stream.
+  EXPECT_THROW(decode(wire_tensor(0, 0xFFFFFFFFu, {2, 3}, 24, 24)),
+               SerializationError);
+}
+
+TEST(TensorWireTest, RankBeyondTheStreamThrows) {
+  // Rank 3 declared, only two dims and a short tail follow.
+  EXPECT_THROW(decode(wire_tensor(0, 3, {2, 3}, 0, 0)), SerializationError);
+}
+
+TEST(TensorWireTest, BadDtypeTagThrows) {
+  EXPECT_THROW(decode(wire_tensor(200, 1, {4}, 16, 16)), SerializationError);
+}
+
+TEST(TensorWireTest, NegativeDimThrows) {
+  EXPECT_THROW(decode(wire_tensor(0, 2, {-2, 3}, 24, 24)),
+               SerializationError);
+}
+
+TEST(TensorWireTest, ByteCountMismatchThrows) {
+  EXPECT_THROW(decode(wire_tensor(0, 2, {2, 3}, 20, 24)), SerializationError);
 }
 
 TEST(WeightSnapshotTest, TruncatedPayloadThrowsTyped) {

@@ -1,6 +1,8 @@
 // Tests for Shape and Tensor.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tensor/tensor.h"
 
 namespace rlgraph {
@@ -50,6 +52,117 @@ TEST(ShapeTest, Broadcasting) {
   EXPECT_EQ(broadcast_shapes(Shape{kUnknownDim, 3}, Shape{3}),
             (Shape{kUnknownDim, 3}));
   EXPECT_THROW(broadcast_shapes(Shape{2}, Shape{3}), ValueError);
+}
+
+// Dims 2, 3, 4, ... of the given rank: distinct values, so a dim copied to
+// the wrong place shows.
+Shape shape_of_rank(int rank) {
+  std::vector<int64_t> dims;
+  for (int i = 0; i < rank; ++i) dims.push_back(i + 2);
+  return Shape(dims);
+}
+
+std::vector<int64_t> dims_of(const Shape& s) { return s.dims().to_vector(); }
+
+// Ranks on both sides of the inline capacity (Shape::kInlineRank == 8):
+// 0 and 8 stay inline, 9 and 12 spill to the heap.
+class ShapeStorageTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShapeStorageTest, CopyAndMoveKeepDims) {
+  const int rank = GetParam();
+  const Shape original = shape_of_rank(rank);
+  ASSERT_EQ(original.rank(), rank);
+
+  Shape copy = original;
+  EXPECT_EQ(copy, original);
+  EXPECT_EQ(dims_of(copy), dims_of(original));
+
+  Shape assigned = Shape{7};
+  assigned = original;
+  EXPECT_EQ(assigned, original);
+  assigned = shape_of_rank(12);  // reassign across the boundary
+  EXPECT_EQ(assigned, shape_of_rank(12));
+  assigned = original;
+  EXPECT_EQ(assigned, original);
+
+  Shape moved = std::move(copy);
+  EXPECT_EQ(moved, original);
+  Shape move_assigned = Shape{1, 2, 3};
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned, original);
+  EXPECT_EQ(move_assigned.num_elements(), original.num_elements());
+}
+
+TEST_P(ShapeStorageTest, EqualityAndMatches) {
+  const int rank = GetParam();
+  const Shape s = shape_of_rank(rank);
+  EXPECT_EQ(s, shape_of_rank(rank));
+  EXPECT_NE(s, shape_of_rank(rank + 1));
+  EXPECT_TRUE(s.matches(s));
+  if (rank > 0) {
+    const Shape other = s.with_dim(rank - 1, 99);
+    EXPECT_NE(s, other);
+    EXPECT_FALSE(s.matches(other));
+    const Shape partial = s.with_dim(0, kUnknownDim);
+    EXPECT_FALSE(partial.fully_specified());
+    EXPECT_TRUE(partial.matches(s));
+    EXPECT_TRUE(partial.matches(s.with_dim(0, 1000)));
+    EXPECT_FALSE(partial.matches(other));
+  }
+  EXPECT_FALSE(s.matches(shape_of_rank(rank + 1)));
+}
+
+TEST_P(ShapeStorageTest, DerivedShapes) {
+  const int rank = GetParam();
+  const Shape s = shape_of_rank(rank);
+  std::vector<int64_t> want = dims_of(s);
+
+  if (rank > 0) {
+    std::vector<int64_t> w = want;
+    w[static_cast<size_t>(rank / 2)] = 42;
+    EXPECT_EQ(dims_of(s.with_dim(rank / 2, 42)), w);
+  }
+
+  std::vector<int64_t> pre = want;
+  pre.insert(pre.begin(), 5);
+  const Shape prepended = s.prepend(5);
+  EXPECT_EQ(prepended.rank(), rank + 1);
+  EXPECT_EQ(dims_of(prepended), pre);
+
+  for (int n : {0, 1, rank}) {
+    if (n > rank) continue;
+    std::vector<int64_t> rest(want.begin() + n, want.end());
+    EXPECT_EQ(dims_of(s.drop_front(n)), rest) << "drop_front(" << n << ")";
+  }
+  EXPECT_EQ(dims_of(prepended.drop_front(1)), want);
+  EXPECT_EQ(s.to_string(), Shape(want).to_string());
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndSpilled, ShapeStorageTest,
+                         ::testing::Values(0, 8, 9, 12));
+
+TEST(ShapeTest, ConcatCrossesTheInlineCapacity) {
+  const Shape a = shape_of_rank(5);
+  const Shape b{11, 12, 13, 14, 15};
+  const Shape ab = a.concat(b);  // rank 10: spilled
+  ASSERT_EQ(ab.rank(), 10);
+  std::vector<int64_t> want = dims_of(a);
+  for (int64_t d : b.dims()) want.push_back(d);
+  EXPECT_EQ(dims_of(ab), want);
+  EXPECT_EQ(ab.drop_front(5), b);     // back inline
+  EXPECT_EQ(ab.drop_front(2).rank(), 8);
+  EXPECT_EQ(Shape{}.concat(shape_of_rank(9)), shape_of_rank(9));
+  EXPECT_EQ(shape_of_rank(8).concat(Shape{}), shape_of_rank(8));
+}
+
+TEST(ShapeTest, InsertAndRemoveDim) {
+  const Shape s{2, 3, 4};
+  EXPECT_EQ(s.insert_dim(0, 1), (Shape{1, 2, 3, 4}));
+  EXPECT_EQ(s.insert_dim(3, 1), (Shape{2, 3, 4, 1}));
+  EXPECT_EQ(s.remove_dim(1), (Shape{2, 4}));
+  EXPECT_EQ(shape_of_rank(9).remove_dim(8), shape_of_rank(8));
+  EXPECT_THROW(s.insert_dim(4, 1), ValueError);
+  EXPECT_THROW(s.remove_dim(3), ValueError);
 }
 
 TEST(TensorTest, ConstructionAndAccess) {
