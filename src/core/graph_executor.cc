@@ -171,7 +171,7 @@ std::vector<Tensor> GraphExecutor::execute_entry(
     ApiEntry& entry, const std::vector<Tensor>& inputs) {
   if (entry.prepared) {
     return run_static(*session_, *entry.prepared, entry.fetches,
-                      entry.feed_nodes, *entry.specialized, inputs);
+                      entry.feed_nodes, inputs);
   }
   return execute_imperative(entry, inputs);
 }
@@ -179,7 +179,7 @@ std::vector<Tensor> GraphExecutor::execute_entry(
 std::vector<Tensor> GraphExecutor::run_static(
     Session& session, Session::PreparedCall& prepared,
     const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
-    SpecializedMemo& memo, const std::vector<Tensor>& inputs) {
+    const std::vector<Tensor>& inputs) {
   // Batchable APIs run a plan specialized on the concrete feed shapes: same
   // fetches, but with a static memory plan for this exact batch size.
   // Non-batchable APIs (fixed signatures, no feeds) gain nothing and keep
@@ -188,25 +188,12 @@ std::vector<Tensor> GraphExecutor::run_static(
       !prepared.plan().feeds_batchable()) {
     return prepared.run(inputs);
   }
-  std::shared_ptr<Session::PreparedCall> call;
-  {
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    bool same = memo.call != nullptr && memo.shapes.size() == inputs.size();
-    for (size_t i = 0; same && i < inputs.size(); ++i) {
-      same = memo.shapes[i] == inputs[i].shape();
-    }
-    if (same) call = memo.call;
-  }
-  if (call == nullptr) {
-    std::vector<Shape> shapes;
-    shapes.reserve(inputs.size());
-    for (const Tensor& t : inputs) shapes.push_back(t.shape());
-    call = session.prepare_specialized(fetches, feed_nodes, shapes);
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    memo.shapes = std::move(shapes);
-    memo.call = call;
-  }
-  return call->run(inputs);
+  // A per-thread shape list keeps its capacity across calls, so the
+  // steady-state lookup allocates nothing.
+  thread_local std::vector<Shape> shapes;
+  shapes.clear();
+  for (const Tensor& t : inputs) shapes.push_back(t.shape());
+  return session.prepare_specialized(fetches, feed_nodes, shapes)->run(inputs);
 }
 
 std::vector<Tensor> GraphExecutor::execute_imperative(
@@ -495,7 +482,7 @@ std::vector<Tensor> GraphExecutor::execute_quantized(
   const QuantizedApi& qa = quantized_api_or_throw(api);
   ++execution_calls_;
   return run_static(*qa.session, *qa.prepared, qa.fetches, qa.feed_nodes,
-                    qa.specialized, inputs);
+                    inputs);
 }
 
 const std::map<std::string, float>& GraphExecutor::quantized_act_scales(

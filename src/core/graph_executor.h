@@ -16,7 +16,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -149,15 +148,6 @@ class GraphExecutor {
   int64_t fused_dispatches() const;
 
  private:
-  // The last shape-specialized call of one API: a steady-state call whose
-  // feed shapes equal `shapes` reuses `call` after comparing dims in place,
-  // with no shape vector, plan key or session cache lookup.
-  struct SpecializedMemo {
-    std::mutex mutex;
-    std::vector<Shape> shapes;
-    std::shared_ptr<Session::PreparedCall> call;
-  };
-
   // Per-API state resolved at build time.
   struct ApiEntry {
     const BuiltApi* api = nullptr;
@@ -167,8 +157,6 @@ class GraphExecutor {
     // looked up in (or compiled into) the session cache per call.
     std::vector<Endpoint> fetches;
     std::vector<int> feed_nodes;
-    std::unique_ptr<SpecializedMemo> specialized =
-        std::make_unique<SpecializedMemo>();
     // Define-by-run: the contracted program once a dispatch traced it.
     FastPathProgram fast_path;
     bool traced = false;
@@ -183,7 +171,6 @@ class GraphExecutor {
     std::shared_ptr<Session::PreparedCall> prepared;
     std::vector<Endpoint> fetches;
     std::vector<int> feed_nodes;
-    mutable SpecializedMemo specialized;
     std::map<std::string, float> act_scales;     // MatMul node name -> scale
     std::map<std::string, float> weight_scales;  // variable name -> scale
     int quantized_matmuls = 0;
@@ -200,7 +187,6 @@ class GraphExecutor {
                                  Session::PreparedCall& prepared,
                                  const std::vector<Endpoint>& fetches,
                                  const std::vector<int>& feed_nodes,
-                                 SpecializedMemo& memo,
                                  const std::vector<Tensor>& inputs);
   std::vector<Tensor> execute_imperative(ApiEntry& entry,
                                          const std::vector<Tensor>& inputs);

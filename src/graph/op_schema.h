@@ -17,6 +17,7 @@
 
 #include "graph/node.h"
 #include "tensor/tensor.h"
+#include "util/errors.h"
 #include "util/random.h"
 
 namespace rlgraph {
@@ -109,7 +110,12 @@ struct KernelContext {
   Rng* rng = nullptr;
 
   const Tensor& input(int i) const { return *slots[input_slots[i]]; }
+  // A kernel that emits more outputs than its step has fails here instead
+  // of overwriting the next step's slots.
   void set_output(int j, Tensor value) {
+    RLG_CHECK_MSG(j >= 0 && j < num_outputs,
+                  "op " << node->op << " set output " << j << ", plan expects "
+                        << num_outputs);
     slots[out_base + j].emplace(std::move(value));
   }
   template <typename T>

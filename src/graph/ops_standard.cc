@@ -7,7 +7,6 @@
 // into the step's KernelState once per compiled plan, so execute reads a
 // POD instead of looking attrs up by name. Gradient rules are registered
 // separately in backend/grad_rules.cc.
-#include <string_view>
 
 #include "graph/op_schema.h"
 #include "tensor/kernels.h"
@@ -316,63 +315,39 @@ void register_math_ops(OpRegistry& r) {
   reg(
       r, "FusedElementwise", float_unary_sig,
       [](KernelContext& k) {
-        // Resolved on the stack, so a steady-state call allocates only its
-        // output (very long chains spill to the heap).
-        constexpr size_t kInline = 16;
-        kernels::EwiseStep inline_steps[kInline];
-        std::vector<kernels::EwiseStep> long_chain;
-        const Tensor* inline_extras[kInline];
-        std::vector<const Tensor*> many_extras;
-        const Tensor** extras = inline_extras;
-        const size_t num_extras = static_cast<size_t>(k.num_inputs - 1);
-        if (num_extras > kInline) {
-          many_extras.resize(num_extras);
-          extras = many_extras.data();
-        }
-        for (size_t i = 0; i < num_extras; ++i) {
-          extras[i] = &k.input(static_cast<int>(i) + 1);
-        }
-        const std::string_view chain = *k.attrs<StringAttrs>().value;
-        size_t num_steps = 0;
+        const std::string& chain = *k.attrs<StringAttrs>().value;
+        std::vector<kernels::EwiseLink> links;
         int next_extra = 0;
         size_t pos = 0;
         while (pos < chain.size()) {
           size_t comma = chain.find(',', pos);
-          if (comma == std::string_view::npos) comma = chain.size();
-          const std::string_view entry = chain.substr(pos, comma - pos);
-          pos = comma + 1;
-          const size_t colon = entry.find(':');
-          kernels::EwiseStep step;
-          if (colon == std::string_view::npos) {
-            step = kernels::ewise_step(entry, false, true, -1, num_extras);
+          std::string entry = chain.substr(
+              pos, comma == std::string::npos ? std::string::npos : comma - pos);
+          pos = comma == std::string::npos ? chain.size() : comma + 1;
+          kernels::EwiseLink link;
+          size_t colon = entry.find(':');
+          if (colon == std::string::npos) {
+            link.op = entry;
           } else {
-            const std::string_view side = entry.substr(colon + 1);
+            link.op = entry.substr(0, colon);
+            std::string side = entry.substr(colon + 1);
             RLG_REQUIRE(side == "l" || side == "r",
-                        "FusedElementwise: bad side marker in \""
-                            << entry << "\"");
-            step = kernels::ewise_step(entry.substr(0, colon), true,
-                                       side == "l", next_extra++,
-                                       num_extras);
+                        "FusedElementwise: bad side marker in \"" << entry
+                                                                  << "\"");
+            link.binary = true;
+            link.chain_left = side == "l";
+            link.extra = next_extra++;
           }
-          if (num_steps == kInline) {
-            long_chain.assign(inline_steps, inline_steps + kInline);
-          }
-          if (num_steps < kInline) {
-            inline_steps[num_steps] = step;
-          } else {
-            long_chain.push_back(step);
-          }
-          ++num_steps;
+          links.push_back(std::move(link));
         }
         RLG_REQUIRE(
             k.num_inputs == next_extra + 1,
             "FusedElementwise: chain needs " << next_extra + 1 << " inputs, got "
                                              << k.num_inputs);
-        k.set_output(0, kernels::fused_elementwise(
-                            k.input(0), extras, num_extras,
-                            num_steps <= kInline ? inline_steps
-                                                 : long_chain.data(),
-                            num_steps));
+        std::vector<Tensor> extras;
+        extras.reserve(static_cast<size_t>(k.num_inputs - 1));
+        for (int i = 1; i < k.num_inputs; ++i) extras.push_back(k.input(i));
+        k.set_output(0, kernels::fused_elementwise(k.input(0), extras, links));
       },
       [](KernelInitContext& c) {
         c.state.emplace<StringAttrs>(&attr_string(c.node.attrs, "ops"));
@@ -817,20 +792,11 @@ void register_shape_ops(OpRegistry& r) {
         return single(c.input_dtypes[0], out.with_dim(axis, total));
       },
       [](KernelContext& k) {
-        // The inputs in place; a stack array covers all but very wide
-        // concats.
-        constexpr int kInline = 16;
-        const Tensor* inline_parts[kInline];
-        std::vector<const Tensor*> wide;
-        const Tensor** parts = inline_parts;
-        if (k.num_inputs > kInline) {
-          wide.resize(static_cast<size_t>(k.num_inputs));
-          parts = wide.data();
-        }
-        for (int i = 0; i < k.num_inputs; ++i) parts[i] = &k.input(i);
+        std::vector<Tensor> parts;
+        parts.reserve(static_cast<size_t>(k.num_inputs));
+        for (int i = 0; i < k.num_inputs; ++i) parts.push_back(k.input(i));
         k.set_output(0, kernels::concat(
-                            parts, static_cast<size_t>(k.num_inputs),
-                            static_cast<int>(k.attrs<IntAttrs>().a)));
+                            parts, static_cast<int>(k.attrs<IntAttrs>().a)));
       },
       init_axis);
 

@@ -168,7 +168,13 @@ std::shared_ptr<Session::PreparedCall> Session::prepare(
 std::shared_ptr<Session::PreparedCall> Session::prepare_specialized(
     const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
     const std::vector<Shape>& feed_shapes) {
-  std::vector<int64_t> shape_key;
+  // The key is encoded into a per-thread buffer whose vectors keep their
+  // capacity, so a steady-state hit allocates nothing; a miss copies it.
+  thread_local PlanKey lookup_key;
+  auto& [key_fetches, key_feeds, shape_key] = lookup_key;
+  key_fetches.assign(fetches.begin(), fetches.end());
+  key_feeds.assign(feed_nodes.begin(), feed_nodes.end());
+  shape_key.clear();
   for (const Shape& s : feed_shapes) {
     shape_key.push_back(s.rank());
     for (int d = 0; d < s.rank(); ++d) shape_key.push_back(s.dim(d));
@@ -176,8 +182,8 @@ std::shared_ptr<Session::PreparedCall> Session::prepare_specialized(
   // An empty shape component is the dynamic key; keep the namespaces
   // disjoint even for zero-feed calls.
   shape_key.push_back(static_cast<int64_t>(feed_shapes.size()));
-  PlanKey key{fetches, feed_nodes, std::move(shape_key)};
-  if (std::shared_ptr<PreparedCall> hit = cache_lookup(key)) return hit;
+  if (std::shared_ptr<PreparedCall> hit = cache_lookup(lookup_key)) return hit;
+  PlanKey key = lookup_key;
 
   trace::TraceSpan compile_span("session", "session/compile_specialized");
   std::shared_ptr<CompiledPlan> plan =

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <string_view>
 #include <type_traits>
 
 #include "util/thread_pool.h"
@@ -1327,21 +1326,12 @@ Tensor select_columns(const Tensor& values, const Tensor& indices) {
 }
 
 Tensor concat(const std::vector<Tensor>& parts, int axis) {
-  std::vector<const Tensor*> ptrs;
-  ptrs.reserve(parts.size());
-  for (const Tensor& p : parts) ptrs.push_back(&p);
-  return concat(ptrs.data(), ptrs.size(), axis);
-}
-
-Tensor concat(const Tensor* const* parts, size_t num_parts, int axis) {
-  RLG_REQUIRE(num_parts > 0, "concat of zero tensors");
-  const Tensor& head = *parts[0];
-  const Shape& first = head.shape();
+  RLG_REQUIRE(!parts.empty(), "concat of zero tensors");
+  const Shape& first = parts[0].shape();
   RLG_REQUIRE(axis >= 0 && axis < first.rank(), "concat axis out of range");
   int64_t total_axis = 0;
-  for (size_t k = 0; k < num_parts; ++k) {
-    const Tensor& p = *parts[k];
-    RLG_REQUIRE(p.dtype() == head.dtype(), "concat dtype mismatch");
+  for (const Tensor& p : parts) {
+    RLG_REQUIRE(p.dtype() == parts[0].dtype(), "concat dtype mismatch");
     RLG_REQUIRE(p.shape().rank() == first.rank(), "concat rank mismatch");
     for (int i = 0; i < first.rank(); ++i) {
       if (i != axis) {
@@ -1352,17 +1342,16 @@ Tensor concat(const Tensor* const* parts, size_t num_parts, int axis) {
     total_axis += p.shape().dim(axis);
   }
   Shape out_shape = first.with_dim(axis, total_axis);
-  Tensor out(head.dtype(), out_shape);
+  Tensor out(parts[0].dtype(), out_shape);
   int64_t outer = 1;
   for (int i = 0; i < axis; ++i) outer *= first.dim(i);
   int64_t inner = 1;
   for (int i = axis + 1; i < first.rank(); ++i) inner *= first.dim(i);
-  size_t esize = dtype_size(head.dtype());
+  size_t esize = dtype_size(parts[0].dtype());
   auto* po = static_cast<uint8_t*>(out.mutable_raw());
   size_t out_row = static_cast<size_t>(total_axis * inner) * esize;
   size_t offset = 0;
-  for (size_t k = 0; k < num_parts; ++k) {
-    const Tensor& p = *parts[k];
+  for (const Tensor& p : parts) {
     size_t p_row = static_cast<size_t>(p.shape().dim(axis) * inner) * esize;
     const auto* pp = static_cast<const uint8_t*>(p.raw());
     for (int64_t o = 0; o < outer; ++o) {
@@ -1556,79 +1545,74 @@ Tensor fused_conv2d(const Tensor& input, const Tensor& filter,
   return out;
 }
 
+namespace {
+struct CompiledLink {
+  float (*un)(float) = nullptr;
+  float (*bin)(float, float) = nullptr;
+  bool chain_left = true;
+  int extra = -1;
+  int read = -1;  // slot of `extra` in its segment's walk
+};
+
 // Extras one walk of fused_elementwise reads.
 constexpr int kMaxFusedReads = 4;
 
-EwiseStep ewise_step(std::string_view op, bool binary, bool chain_left,
-                     int extra, size_t num_extras) {
-  EwiseStep c;
-  if (binary) {
-    c.chain_left = chain_left;
-    c.extra = extra;
-    RLG_REQUIRE(extra >= 0 && static_cast<size_t>(extra) < num_extras,
-                "fused_elementwise: extra index " << extra
+CompiledLink compile_link(const EwiseLink& link, size_t num_extras) {
+  CompiledLink c;
+  if (link.binary) {
+    c.chain_left = link.chain_left;
+    c.extra = link.extra;
+    RLG_REQUIRE(link.extra >= 0 &&
+                    static_cast<size_t>(link.extra) < num_extras,
+                "fused_elementwise: extra index " << link.extra
                                                   << " out of range");
     // Same lambdas as the standalone binary kernels.
-    if (op == "Add") c.bin = +[](float x, float y) { return x + y; };
-    else if (op == "Sub") c.bin = +[](float x, float y) { return x - y; };
-    else if (op == "Mul") c.bin = +[](float x, float y) { return x * y; };
-    else if (op == "Div") c.bin = +[](float x, float y) { return x / y; };
-    else if (op == "Minimum")
+    if (link.op == "Add") c.bin = +[](float x, float y) { return x + y; };
+    else if (link.op == "Sub") c.bin = +[](float x, float y) { return x - y; };
+    else if (link.op == "Mul") c.bin = +[](float x, float y) { return x * y; };
+    else if (link.op == "Div") c.bin = +[](float x, float y) { return x / y; };
+    else if (link.op == "Minimum")
       c.bin = +[](float x, float y) { return x < y ? x : y; };
-    else if (op == "Maximum")
+    else if (link.op == "Maximum")
       c.bin = +[](float x, float y) { return x > y ? x : y; };
     else
-      throw ValueError("fused_elementwise: unsupported binary op " +
-                       std::string(op));
+      throw ValueError("fused_elementwise: unsupported binary op " + link.op);
   } else {
     // Same lambdas as the standalone unary kernels.
-    if (op == "Neg") c.un = +[](float x) { return -x; };
-    else if (op == "Exp") c.un = +[](float x) { return std::exp(x); };
-    else if (op == "Log") c.un = +[](float x) { return std::log(x); };
-    else if (op == "Sqrt") c.un = +[](float x) { return std::sqrt(x); };
-    else if (op == "Square") c.un = +[](float x) { return x * x; };
-    else if (op == "Abs") c.un = +[](float x) { return std::fabs(x); };
-    else if (op == "Relu")
+    if (link.op == "Neg") c.un = +[](float x) { return -x; };
+    else if (link.op == "Exp") c.un = +[](float x) { return std::exp(x); };
+    else if (link.op == "Log") c.un = +[](float x) { return std::log(x); };
+    else if (link.op == "Sqrt") c.un = +[](float x) { return std::sqrt(x); };
+    else if (link.op == "Square") c.un = +[](float x) { return x * x; };
+    else if (link.op == "Abs") c.un = +[](float x) { return std::fabs(x); };
+    else if (link.op == "Relu")
       c.un = +[](float x) { return x > 0.0f ? x : 0.0f; };
-    else if (op == "Sigmoid")
+    else if (link.op == "Sigmoid")
       c.un = +[](float x) { return 1.0f / (1.0f + std::exp(-x)); };
-    else if (op == "Tanh") c.un = +[](float x) { return std::tanh(x); };
+    else if (link.op == "Tanh") c.un = +[](float x) { return std::tanh(x); };
     else
-      throw ValueError("fused_elementwise: unsupported unary op " +
-                       std::string(op));
+      throw ValueError("fused_elementwise: unsupported unary op " + link.op);
   }
   return c;
 }
+}  // namespace
 
 Tensor fused_elementwise(const Tensor& x, const std::vector<Tensor>& extras,
                          const std::vector<EwiseLink>& links) {
-  std::vector<EwiseStep> steps;
-  steps.reserve(links.size());
-  for (const EwiseLink& l : links) {
-    steps.push_back(
-        ewise_step(l.op, l.binary, l.chain_left, l.extra, extras.size()));
-  }
-  std::vector<const Tensor*> ptrs;
-  ptrs.reserve(extras.size());
-  for (const Tensor& e : extras) ptrs.push_back(&e);
-  return fused_elementwise(x, ptrs.data(), ptrs.size(), steps.data(),
-                           steps.size());
-}
-
-Tensor fused_elementwise(const Tensor& x, const Tensor* const* extras,
-                         size_t num_extras, const EwiseStep* steps,
-                         size_t num_steps) {
   check_dtype(x, DType::kFloat32, "fused_elementwise");
-  for (size_t i = 0; i < num_extras; ++i) {
-    check_dtype(*extras[i], DType::kFloat32, "fused_elementwise");
+  for (const Tensor& e : extras) {
+    check_dtype(e, DType::kFloat32, "fused_elementwise");
   }
+  std::vector<CompiledLink> steps;
+  steps.reserve(links.size());
+  for (const EwiseLink& l : links) steps.push_back(compile_link(l, extras.size()));
   const Shape& oshape = x.shape();
-  for (size_t i = 0; i < num_extras; ++i) {
-    const Shape& es = extras[i]->shape();
+  for (const Tensor& e : extras) {
+    const Shape& es = e.shape();
     bool fits = es.rank() <= oshape.rank();
-    for (int j = 0; fits && j < es.rank(); ++j) {
-      int64_t d = es.dim(j);
-      fits = d == 1 || d == oshape.dim(oshape.rank() - es.rank() + j);
+    for (int i = 0; fits && i < es.rank(); ++i) {
+      int64_t d = es.dim(i);
+      fits = d == 1 || d == oshape.dim(oshape.rank() - es.rank() + i);
     }
     RLG_REQUIRE(fits, "fused_elementwise: extra " << es.to_string()
                                                   << " does not broadcast into "
@@ -1641,8 +1625,7 @@ Tensor fused_elementwise(const Tensor& x, const Tensor* const* extras,
   // through one coalesced walk (each extra element pairs with the same chain
   // element as in the unfused broadcast op). A longer chain carries the
   // running value through the output between segments: every element still
-  // sees the same ops in the same order. Within a segment the binary links
-  // read the walk's operands in order.
+  // sees the same ops in the same order.
   const float* src = x.data<float>();
   size_t first = 0;
   do {
@@ -1650,31 +1633,30 @@ Tensor fused_elementwise(const Tensor& x, const Tensor* const* extras,
     const float* pext[kMaxFusedReads];
     int reads = 0;
     size_t last = first;
-    for (; last < num_steps; ++last) {
-      const EwiseStep& s = steps[last];
+    for (; last < steps.size(); ++last) {
+      CompiledLink& s = steps[last];
       if (s.un) continue;
       if (reads == kMaxFusedReads) break;
-      const Tensor& e = *extras[static_cast<size_t>(s.extra)];
+      const Tensor& e = extras[static_cast<size_t>(s.extra)];
+      s.read = reads;
       in[reads] = {&e.shape()};
       pext[reads++] = e.data<float>();
     }
     const Walk<kMaxFusedReads> w =
         coalesce<kMaxFusedReads>("fused_elementwise", oshape, in, reads);
-    const EwiseStep* seg = steps + first;
+    const CompiledLink* seg = steps.data() + first;
     const size_t seg_len = last - first;
     walk_all(w, kMathGrain, n,
              [&](int64_t o, const int64_t* off, int64_t len) {
                for (int64_t i = 0; i < len; ++i) {
                  float v = src[o + i];
-                 int read = 0;
                  for (size_t k = 0; k < seg_len; ++k) {
-                   const EwiseStep& s = seg[k];
+                   const CompiledLink& s = seg[k];
                    if (s.un) {
                      v = s.un(v);
                    } else {
-                     float e = pext[read][off[read] +
-                                          i * w.stride[read][0]];
-                     ++read;
+                     float e = pext[s.read][off[s.read] +
+                                            i * w.stride[s.read][0]];
                      v = s.chain_left ? s.bin(v, e) : s.bin(e, v);
                    }
                  }
@@ -1683,7 +1665,7 @@ Tensor fused_elementwise(const Tensor& x, const Tensor* const* extras,
              });
     src = po;
     first = last;
-  } while (first < num_steps);
+  } while (first < steps.size());
   return out;
 }
 

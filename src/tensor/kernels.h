@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -98,7 +97,6 @@ Tensor select_columns(const Tensor& values, const Tensor& indices);
 
 // --- Shape manipulation ------------------------------------------------------
 Tensor concat(const std::vector<Tensor>& parts, int axis);
-Tensor concat(const Tensor* const* parts, size_t num_parts, int axis);
 std::vector<Tensor> split(const Tensor& t, int axis,
                           const std::vector<int64_t>& sizes);
 // slice along axis 0: rows [begin, begin+size).
@@ -138,21 +136,6 @@ struct EwiseLink {
 };
 Tensor fused_elementwise(const Tensor& x, const std::vector<Tensor>& extras,
                          const std::vector<EwiseLink>& links);
-// A link resolved to its scalar function; binary links index `extras`.
-struct EwiseStep {
-  float (*un)(float) = nullptr;
-  float (*bin)(float, float) = nullptr;
-  bool chain_left = true;
-  int extra = -1;
-};
-// Resolves one link (ValueError for an unsupported op or an extra index
-// outside [0, num_extras)).
-EwiseStep ewise_step(std::string_view op, bool binary, bool chain_left,
-                     int extra, size_t num_extras);
-// The same chain over resolved steps and extras viewed in place.
-Tensor fused_elementwise(const Tensor& x, const Tensor* const* extras,
-                         size_t num_extras, const EwiseStep* steps,
-                         size_t num_steps);
 
 // --- Int8 quantization -------------------------------------------------------
 // Symmetric per-tensor linear quantization:

@@ -5,19 +5,15 @@
 // use, warm the call up (plan compile, buffer pools, arena blocks) and then
 // count the allocations of single calls. The bound does not depend on the
 // number of plan steps: a call that allocated once per step (39 steps per
-// exploring act, 409 per update) would exceed it many times over. The last
-// test does the same for a plan whose one step is a fused elementwise
-// chain.
+// exploring act, 409 per update) would exceed it many times over.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 
 #include "agents/dqn_agent.h"
-#include "backend/static_context.h"
 #include "counting_new.h"
 #include "env/vector_env.h"
-#include "graph/session.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -154,28 +150,6 @@ TEST_F(DispatchHeapTest, ComputePriorities100) {
            agent_->compute_priorities(b.states, b.actions, b.rewards,
                                       b.next_states, b.terminals, q_next);
          }));
-}
-
-TEST(DispatchHeapPlanTest, FusedElementwiseChain) {
-  // A pure elementwise chain that pattern fusion turns into one
-  // FusedElementwise step: its kernel resolves the chain on the stack, so
-  // a call allocates only its result vector.
-  set_global_parallelism(1);
-  VariableStore store;
-  Rng rng(3);
-  StaticGraphContext ctx(&store, &rng);
-  OpRef x = ctx.placeholder("x", DType::kFloat32, Shape{64, 32});
-  OpRef out = ctx.mul(ctx.neg(ctx.tanh(x)), ctx.scalar(0.5f));
-  Session session(ctx.graph(), &store, &rng);
-  session.set_pattern_fusion(true);
-  auto call = session.prepare({{out.node, 0}}, {x.node});
-  ASSERT_EQ(call->plan().fused_kernel_steps(), 1);
-  const std::vector<Tensor> feed = {
-      Tensor::filled(DType::kFloat32, Shape{64, 32}, 0.25)};
-  const int64_t ops = max_heap_ops_per_call([&] { call->run(feed); });
-  std::printf("heap operations per fused elementwise plan call: %lld\n",
-              static_cast<long long>(ops));
-  EXPECT_LE(ops, 2);
 }
 
 }  // namespace

@@ -211,6 +211,29 @@ TEST(ExecPlanBuilderTest, PurityCheckCatchesInputMutation) {
   EXPECT_NO_THROW(plan->execute(arena, {input}, nullptr));
 }
 
+TEST(ExecPlanBuilderTest, KernelEmittingMoreOutputsThanPlannedThrows) {
+  // Split emits two outputs; the step declares one, so the second write
+  // would land in the next step's slot.
+  CompiledPlan::Builder builder;
+  int in_slot = builder.add_input();
+  NodeDef node;
+  node.name = "split";
+  node.op = "Split";
+  node.attrs["axis"] = int64_t{0};
+  node.attrs["sizes"] = std::vector<int64_t>{2, 2};
+  int out_slot = builder.add_step(std::move(node), {in_slot}, 1);
+  NodeDef neg;
+  neg.name = "neg";
+  neg.op = "Neg";
+  int neg_slot = builder.add_step(std::move(neg), {out_slot}, 1);
+  builder.set_outputs({neg_slot});
+  std::shared_ptr<CompiledPlan> plan = builder.finish();
+
+  RunArena arena;
+  Tensor input = Tensor::from_floats(Shape{4}, {1, 2, 3, 4});
+  EXPECT_THROW(plan->execute(arena, {input}, nullptr), Error);
+}
+
 TEST(ExecPlanBuilderTest, RepeatedRunsReuseOneArena) {
   CompiledPlan::Builder builder;
   int in_slot = builder.add_input();
